@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench benchall benchshard benchsmoke benchworkload benchoverload benchdiff workload overload raceoverload chaos crash shard reconfig obsdeps
+.PHONY: check vet build test race bench benchall benchshard benchsmoke benchtest benchworkload benchoverload benchdiff workload overload raceoverload chaos crash shard reconfig obsdeps
 
-check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchsmoke
+check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchsmoke benchtest
 
 vet:
 	$(GO) vet ./...
@@ -158,6 +158,13 @@ benchsmoke:
 	$(GO) run ./cmd/benchjson -validate BENCH_shard.json
 	$(GO) run ./cmd/benchjson -validate BENCH_workload.json
 	$(GO) run ./cmd/benchjson -validate BENCH_overload.json
+
+# The repo benchmark's own module (perfbench/, `replace repdir => ../`):
+# `go test ./...` at the root does not descend into a nested module, so
+# without this its dominance, replay and accounting checkers would never
+# be compiled against a changed core.
+benchtest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Every benchmark in the repo (paper figures included), human-readable.
 benchall:

@@ -10,179 +10,186 @@ import (
 	"repdir/internal/version"
 )
 
+// maxWalkBatch caps how many neighbors one batch probe asks a member
+// for. Scans size their batches from what the caller asked for (see
+// walker.batch); the cap bounds one reply and the read-ahead lock span.
+const maxWalkBatch = 256
+
 // neighbor is the result of a real-predecessor or real-successor search:
 // a key that is current (present in the directory suite), its entry
-// version and value, the largest gap version encountered while walking
-// past ghosts, the number of walk iterations, and the number of neighbor
-// RPCs issued (for the section 4 statistics and the batching ablation).
+// version and value, and the largest gap version encountered while
+// walking past ghosts.
 type neighbor struct {
 	key    keyspace.Key
 	value  string
 	ver    version.V
 	maxGap version.V
-	steps  int
-	rpcs   int
 }
 
-// chain caches one quorum member's batched neighbor replies during a
-// walk. Replies are ordered in walk direction (descending keys for
-// predecessor walks, ascending for successor walks) and consumed as the
-// walk advances; when the cache runs out, another batch is fetched from
-// the member. With fanout 1 this reduces to the paper's Figure 12: one
+// chain caches one quorum member's batched neighbor replies, in walk
+// direction, consumed as the walk advances and refetched when they run
+// out. With batches of 1 this is the paper's Figure 12: one
 // DirRepPredecessor/DirRepSuccessor message per member per iteration.
 type chain struct {
-	member quorum.Member
 	cached []rep.NeighborResult
 	idx    int
+	size   int // last batch size, for unlimited walks' doubling
 }
 
-// next returns the member's neighbor of k in walk direction, fetching a
-// batch when the cache is exhausted. beyond reports whether a cached key
-// still lies beyond k in walk direction; elements the walk has moved past
-// are skipped and never revisited.
-func (c *chain) next(ctx context.Context, k keyspace.Key, fanout int,
-	fetch func(context.Context, quorum.Member, keyspace.Key, int) ([]rep.NeighborResult, error),
-	beyond func(cand, k keyspace.Key) bool, rpcs *int) (rep.NeighborResult, error) {
-	for c.idx < len(c.cached) && !beyond(c.cached[c.idx].Key, k) {
+// walker runs the Figure 12 search, generalized to batched neighbor
+// probes, over one read quorum (chosen at the first probe) whose
+// per-member chains persist across steps: a scan advances one walker
+// entry by entry, so a page costs one batch message per member.
+//
+// Currency is decided from the replies in hand. Each member's chain
+// head is either the candidate — its DirRepLookup(candidate) would
+// answer {Found, Version, Value} of the head — or the next entry beyond
+// it, the candidate lying in the gap next to the head: {!Found,
+// head.GapVersion}. Both were read under the batch's lookup lock on the
+// span from the probe key to the batch's last key, which covers the
+// candidate and is held to the end of the transaction, so Tx.winner
+// over them is a DirSuiteLookup over a valid read quorum. Chains must
+// not outlive a write to their members by the same transaction, so
+// single searches (Delete's two, SuccessorKey/PredecessorKey, and
+// ReconcileReplica, which writes its target between searches) build a
+// walker per search.
+type walker struct {
+	tx      *Tx
+	desc    bool // predecessor walk: descending keys
+	members []quorum.Member
+	chains  []chain
+	replies []rep.LookupResult
+	// want sizes batch fetches: 0 asks for the suite fanout (single
+	// searches), > 0 is how many entries a limited scan still needs,
+	// and < 0 marks an unlimited walk, whose batches double.
+	want int
+	// Walk iterations and neighbor messages, for section 4's statistics.
+	steps, rpcs int
+}
+
+// batch returns how many neighbors the next fetch for c asks for. A
+// limited scan asks for just what it still needs; an unlimited one
+// doubles from the fanout, so its read-ahead past a range's end never
+// exceeds what it has already read.
+func (w *walker) batch(c *chain) int {
+	f := w.tx.suite.fanout
+	switch {
+	case w.want > 0:
+		return max(f, min(w.want, maxWalkBatch))
+	case w.want < 0:
+		c.size = max(f, min(2*c.size, maxWalkBatch))
+		return c.size
+	default:
+		return f
+	}
+}
+
+// beyond reports whether a lies strictly beyond b in walk direction.
+func (w *walker) beyond(a, b keyspace.Key) bool {
+	if w.desc {
+		return a.Less(b)
+	}
+	return b.Less(a)
+}
+
+// head returns member i's nearest entry beyond k in walk direction,
+// fetching a batch when the cache is exhausted. Cached entries the walk
+// has moved past are skipped and never revisited.
+func (w *walker) head(ctx context.Context, i int, k keyspace.Key) (rep.NeighborResult, error) {
+	c := &w.chains[i]
+	for c.idx < len(c.cached) && !w.beyond(c.cached[c.idx].Key, k) {
 		c.idx++
 	}
 	if c.idx >= len(c.cached) {
-		batch, err := fetch(ctx, c.member, k, fanout)
-		if err != nil {
-			return rep.NeighborResult{}, err
+		d := w.members[i].Dir
+		w.tx.msgs++
+		verb, fetch := "successor", d.SuccessorBatch
+		if w.desc {
+			verb, fetch = "predecessor", d.PredecessorBatch
 		}
-		*rpcs++
+		batch, err := fetch(ctx, w.tx.txn.ID, k, w.batch(c))
+		if err != nil {
+			w.tx.noteFailure(d.Name(), err)
+			return rep.NeighborResult{}, fmt.Errorf("%s of %s at %s: %w", verb, k, d.Name(), err)
+		}
+		if h := w.tx.suite.health; h != nil {
+			h.ReportSuccess(d.Name())
+		}
+		w.rpcs++
 		c.cached, c.idx = batch, 0
 	}
 	return c.cached[c.idx], nil
 }
 
-// realPredecessor implements the Figure 12 search, generalized to
-// batched neighbor probes. Starting from x, it repeatedly takes the
-// maximum per-member predecessor candidate and checks whether that
-// candidate is current via a suite lookup; ghosts are skipped by
-// continuing the walk from them. Every gap version encountered is folded
-// into maxGap, which is what lets DirSuiteDelete assign the coalesced gap
-// a version dominating everything in the range.
-func (tx *Tx) realPredecessor(ctx context.Context, x keyspace.Key) (neighbor, error) {
-	// The LOW sentinel has no predecessor. Answer locally instead of
-	// probing: DirRepPredecessor(LOW) draws rep.ErrNoNeighbor from every
-	// member, which would make the domain edge indistinguishable from a
-	// failed search to callers that fall through to a neighboring shard.
-	if x.IsLow() {
+// next returns the real neighbor of x in walk direction: the nearest
+// per-member candidate that is current, walking on past ghosts. Every
+// gap version encountered is folded into maxGap, which lets
+// DirSuiteDelete give the coalesced gap a version dominating the range.
+func (w *walker) next(ctx context.Context, x keyspace.Key) (neighbor, error) {
+	// The sentinels have no neighbor beyond them. Answer locally instead
+	// of probing: DirRepPredecessor(LOW) draws rep.ErrNoNeighbor from
+	// every member, which would make the domain edge indistinguishable
+	// from a failed search to callers that fall through to a
+	// neighboring shard.
+	end, name := keyspace.High(), "succ-walk"
+	if w.desc {
+		end, name = keyspace.Low(), "pred-walk"
+	}
+	if x.Equal(end) {
 		return neighbor{key: x, ver: version.Lowest, maxGap: version.Lowest}, nil
 	}
-	members, err := tx.readQuorum()
-	if err != nil {
-		return neighbor{}, err
-	}
-	chains := make([]chain, len(members))
-	for i, m := range members {
-		chains[i].member = m
-		tx.txn.Join(m.Dir)
-	}
-	fetch := func(ctx context.Context, m quorum.Member, k keyspace.Key, fanout int) ([]rep.NeighborResult, error) {
-		tx.msgs++
-		batch, err := m.Dir.PredecessorBatch(ctx, tx.txn.ID, k, fanout)
+	if w.members == nil {
+		members, err := w.tx.readQuorum()
 		if err != nil {
-			tx.noteFailure(m.Dir.Name(), err)
-			return nil, fmt.Errorf("predecessor of %s at %s: %w", k, m.Dir.Name(), err)
+			return neighbor{}, err
 		}
-		return batch, nil
+		w.members = members
+		w.chains = make([]chain, len(members))
+		w.replies = make([]rep.LookupResult, len(members))
+		for _, m := range members {
+			w.tx.txn.Join(m.Dir)
+		}
 	}
-	below := func(cand, k keyspace.Key) bool { return cand.Less(k) }
-
-	sp := tx.span("pred-walk", x.Raw())
+	sp := w.tx.span(name, x.Raw())
 	defer sp.End()
 	k := x
 	maxGap := version.Lowest
-	steps, rpcs := 0, 0
 	for {
-		steps++
-		pred := keyspace.Low()
-		for i := range chains {
-			nb, err := chains[i].next(ctx, k, tx.suite.fanout, fetch, below, &rpcs)
+		w.steps++
+		cand := end
+		for i := range w.chains {
+			h, err := w.head(ctx, i, k)
 			if err != nil {
 				return neighbor{}, err
 			}
-			pred = keyspace.Max(pred, nb.Key)
-			maxGap = version.Max(maxGap, nb.GapVersion)
+			if w.beyond(cand, h.Key) {
+				cand = h.Key
+			}
+			maxGap = version.Max(maxGap, h.GapVersion)
 		}
-		if pred.IsLow() {
-			// LOW is stored by every representative, so it is always
-			// current; no quorum check is needed (or possible — its
-			// version, LowestVersion, never wins a Figure 8 comparison).
-			return neighbor{key: pred, ver: version.Lowest, maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
+		if cand.Equal(end) {
+			// Every representative stores the sentinels, so they are
+			// always current; no quorum check is needed (or possible —
+			// LowestVersion never wins a Figure 8 comparison).
+			return neighbor{key: cand, ver: version.Lowest, maxGap: maxGap}, nil
 		}
-		cur, err := tx.suiteLookup(ctx, pred)
+		for i := range w.chains {
+			h := w.chains[i].cached[w.chains[i].idx]
+			if h.Key.Equal(cand) {
+				w.replies[i] = rep.LookupResult{Found: true, Version: h.Version, Value: h.Value}
+			} else {
+				w.replies[i] = rep.LookupResult{Version: h.GapVersion}
+			}
+		}
+		cur, err := w.tx.winner(ctx, cand, w.members, w.replies)
 		if err != nil {
 			return neighbor{}, err
 		}
 		if cur.Found {
-			return neighbor{key: pred, value: cur.Value, ver: cur.Version,
-				maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
+			return neighbor{key: cand, value: cur.Value, ver: cur.Version, maxGap: maxGap}, nil
 		}
-		// pred is a ghost; keep walking down from it.
-		k = pred
-	}
-}
-
-// realSuccessor is the mirror image of realPredecessor.
-func (tx *Tx) realSuccessor(ctx context.Context, x keyspace.Key) (neighbor, error) {
-	// Mirror of realPredecessor's edge guard: HIGH has no successor.
-	if x.IsHigh() {
-		return neighbor{key: x, ver: version.Lowest, maxGap: version.Lowest}, nil
-	}
-	members, err := tx.readQuorum()
-	if err != nil {
-		return neighbor{}, err
-	}
-	chains := make([]chain, len(members))
-	for i, m := range members {
-		chains[i].member = m
-		tx.txn.Join(m.Dir)
-	}
-	fetch := func(ctx context.Context, m quorum.Member, k keyspace.Key, fanout int) ([]rep.NeighborResult, error) {
-		tx.msgs++
-		batch, err := m.Dir.SuccessorBatch(ctx, tx.txn.ID, k, fanout)
-		if err != nil {
-			tx.noteFailure(m.Dir.Name(), err)
-			return nil, fmt.Errorf("successor of %s at %s: %w", k, m.Dir.Name(), err)
-		}
-		return batch, nil
-	}
-	above := func(cand, k keyspace.Key) bool { return k.Less(cand) }
-
-	sp := tx.span("succ-walk", x.Raw())
-	defer sp.End()
-	k := x
-	maxGap := version.Lowest
-	steps, rpcs := 0, 0
-	for {
-		steps++
-		succ := keyspace.High()
-		for i := range chains {
-			nb, err := chains[i].next(ctx, k, tx.suite.fanout, fetch, above, &rpcs)
-			if err != nil {
-				return neighbor{}, err
-			}
-			succ = keyspace.Min(succ, nb.Key)
-			maxGap = version.Max(maxGap, nb.GapVersion)
-		}
-		if succ.IsHigh() {
-			// HIGH is stored by every representative; see the LOW case
-			// in realPredecessor.
-			return neighbor{key: succ, ver: version.Lowest, maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
-		}
-		cur, err := tx.suiteLookup(ctx, succ)
-		if err != nil {
-			return neighbor{}, err
-		}
-		if cur.Found {
-			return neighbor{key: succ, value: cur.Value, ver: cur.Version,
-				maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
-		}
-		k = succ
+		// cand is a ghost; keep walking from it.
+		k = cand
 	}
 }
 
@@ -198,11 +205,12 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	}
 
 	// Find the real successor and real predecessor of x.
-	succ, err := tx.realSuccessor(ctx, x)
+	sw, pw := &walker{tx: tx}, &walker{tx: tx, desc: true}
+	succ, err := sw.next(ctx, x)
 	if err != nil {
 		return err
 	}
-	pred, err := tx.realPredecessor(ctx, x)
+	pred, err := pw.next(ctx, x)
 	if err != nil {
 		return err
 	}
@@ -252,9 +260,9 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		Key:                  key,
 		EntriesCoalesced:     make([]int, 0, len(members)),
 		Insertions:           insertions,
-		PredecessorWalkSteps: pred.steps,
-		SuccessorWalkSteps:   succ.steps,
-		NeighborRPCs:         pred.rpcs + succ.rpcs,
+		PredecessorWalkSteps: pw.steps,
+		SuccessorWalkSteps:   sw.steps,
+		NeighborRPCs:         pw.rpcs + sw.rpcs,
 	}
 	coalesceSpan := tx.span("coalesce", key)
 	for _, m := range members {

@@ -46,36 +46,29 @@ func (s *Suite) Predecessor(ctx context.Context, before string) (KV, bool, error
 // PredecessorKey) is answered locally as found == false with no
 // representative probes.
 func (tx *Tx) SuccessorKey(ctx context.Context, after keyspace.Key) (KV, bool, error) {
-	k := after
-	for {
-		nb, err := tx.realSuccessor(ctx, k)
-		if err != nil {
-			return KV{}, false, err
-		}
-		if nb.key.IsHigh() {
-			return KV{}, false, nil
-		}
-		// System entries are invisible to the public API; keep walking.
-		if isSystemKey(nb.key) {
-			k = nb.key
-			continue
-		}
-		return KV{Key: nb.key.Raw(), Value: nb.value}, true, nil
-	}
+	return tx.nearest(ctx, false, after)
 }
 
 // PredecessorKey is the transactional, Key-typed form of
 // Suite.Predecessor.
 func (tx *Tx) PredecessorKey(ctx context.Context, before keyspace.Key) (KV, bool, error) {
-	k := before
+	return tx.nearest(ctx, true, before)
+}
+
+// nearest returns the first current user entry beyond from in walk
+// direction, or found == false when the walk reaches a sentinel.
+func (tx *Tx) nearest(ctx context.Context, desc bool, from keyspace.Key) (KV, bool, error) {
+	w := &walker{tx: tx, desc: desc}
+	k := from
 	for {
-		nb, err := tx.realPredecessor(ctx, k)
+		nb, err := w.next(ctx, k)
 		if err != nil {
 			return KV{}, false, err
 		}
-		if nb.key.IsLow() {
+		if nb.key.IsLow() || nb.key.IsHigh() {
 			return KV{}, false, nil
 		}
+		// System entries are invisible to the public API; keep walking.
 		if isSystemKey(nb.key) {
 			k = nb.key
 			continue

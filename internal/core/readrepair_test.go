@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -128,6 +129,62 @@ func TestReadRepairIgnoresGhosts(t *testing.T) {
 	drain(t, ts.suite)
 	if st := ts.suite.Stats(); st.ReadRepairEnqueued != 0 {
 		t.Errorf("ghost observation enqueued %d repairs, want 0", st.ReadRepairEnqueued)
+	}
+}
+
+// TestReadRepairFromScan checks that a scan repairs like the per-key
+// lookups it no longer sends: deciding each entry's currency from the
+// batch replies, it enqueues a freshen of just the stale key on just
+// the stale member, and nothing for a ghost.
+func TestReadRepairFromScan(t *testing.T) {
+	ctx := context.Background()
+	ts := newReadRepairSuite(t, 16)
+
+	ts.script.set([]int{0, 1}, []int{0, 1, 2})
+	for _, k := range []string{"a", "b", "c"} {
+		if err := ts.suite.Insert(ctx, k, "v1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Through {A, B}: b updated (C keeps version 1), d inserted (C
+	// misses it), c deleted (C keeps a ghost).
+	ts.script.set([]int{0, 1}, []int{0, 1})
+	if err := ts.suite.Update(ctx, "b", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.suite.Insert(ctx, "d", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.suite.Delete(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	inserts := func(i int) uint64 { return ts.reps[i].Counters().Inserts }
+	a0, c0 := inserts(0), inserts(2)
+
+	ts.script.set([]int{0, 2}, []int{0, 1})
+	got, err := ts.suite.Scan(ctx, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[{a v1} {b v2} {d v1}]"; fmt.Sprint(got) != want {
+		t.Fatalf("scan = %v, want %s", got, want)
+	}
+	drain(t, ts.suite)
+	st := ts.suite.Stats()
+	if st.ReadRepairEnqueued != 2 || st.ReadRepairFreshened != 1 || st.ReadRepairCopied != 1 {
+		t.Errorf("stats = %+v, want 2 enqueued (b, d), 1 freshened, 1 copied", st)
+	}
+	if has, ver := ts.repHas(2, "b"); !has || ver != version.V(2) {
+		t.Errorf("C's b after scan repair: has=%v ver=%v, want version 2", has, ver)
+	}
+	if has, _ := ts.repHas(2, "d"); !has {
+		t.Error("C still misses d after scan repair")
+	}
+	if n := inserts(0) - a0; n != 0 {
+		t.Errorf("current member A received %d repair installs, want 0", n)
+	}
+	if n := inserts(2) - c0; n != 2 {
+		t.Errorf("stale member C received %d repair installs, want 2", n)
 	}
 }
 

@@ -159,7 +159,10 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 			done = false
 			k := after
 			for segs := 0; segs < pageSize; segs++ {
-				nb, err := tx.realSuccessor(ctx, k)
+				// A fresh walker per segment: reconcileSegment writes to
+				// the target, which may serve in the walk's quorum, so
+				// chains cached before the write must not be reused.
+				nb, err := (&walker{tx: tx}).next(ctx, k)
 				if err != nil {
 					return err
 				}

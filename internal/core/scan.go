@@ -78,51 +78,60 @@ func (s *Suite) ScanPrefix(ctx context.Context, limit int, components ...string)
 // Both bounds are exclusive.
 func (tx *Tx) ScanSpan(ctx context.Context, after, until keyspace.Key, limit int) ([]KV, error) {
 	var out []KV
-	err := tx.walkSpan(ctx, after, until, limit, func(nb neighbor) {
+	err := tx.walk(ctx, false, after, until, limit, func(nb neighbor) {
 		out = append(out, KV{Key: nb.key.Raw(), Value: nb.value})
 	})
 	return out, err
 }
 
-// walkSpan walks real successors from after (exclusive) up to until
-// (exclusive), calling visit for each current entry, at most limit times
-// when limit > 0.
-func (tx *Tx) walkSpan(ctx context.Context, after, until keyspace.Key, limit int, visit func(neighbor)) error {
-	if !after.Less(until) {
-		// Empty span: after == until (or inverted bounds) admits no key
-		// with after < key < until. Return before the first successor
-		// probe — probing would read-lock keys beyond the requested
-		// range and, at after == HIGH, ask representatives for the
-		// successor of the maximum key.
+// walk visits the current entries strictly between from and to in walk
+// direction (ascending, or descending when desc), at most limit of
+// them when limit > 0. One walker serves the whole walk: its batches
+// are sized from the limit, so a page of entries costs one batch
+// message per read-quorum member.
+func (tx *Tx) walk(ctx context.Context, desc bool, from, to keyspace.Key, limit int, visit func(neighbor)) error {
+	w := &walker{tx: tx, desc: desc}
+	verb := "after"
+	if desc {
+		verb = "before"
+	}
+	if !w.beyond(to, from) {
+		// Empty span: from == to (or inverted bounds) admits no key
+		// strictly between them. Return before the first probe —
+		// probing would read-lock keys beyond the requested range and,
+		// at a sentinel, ask representatives for the neighbor of the
+		// extreme key.
 		return nil
 	}
-	k := after
-	seen := 0
-	for limit <= 0 || seen < limit {
-		succ, err := tx.realSuccessor(ctx, k)
-		if err != nil {
-			return fmt.Errorf("scan after %s: %w", k, err)
+	k := from
+	for seen := 0; limit <= 0 || seen < limit; {
+		w.want = -1
+		if limit > 0 {
+			w.want = limit - seen
 		}
-		if succ.key.IsHigh() || !succ.key.Less(until) {
-			break
+		nb, err := w.next(ctx, k)
+		if err != nil {
+			return fmt.Errorf("scan %s %s: %w", verb, k, err)
+		}
+		if !w.beyond(to, nb.key) { // past the bound, or at the sentinel
+			return nil
 		}
 		// Each step must strictly advance. A violation means a
-		// representative served a successor at or below the probe key —
+		// representative served a neighbor at or behind the probe key —
 		// revisiting it would double-count the entry (and loop forever
 		// with limit <= 0), so fail the scan instead.
-		if !k.Less(succ.key) {
-			return fmt.Errorf("core: scan after %s: successor %s did not advance", k, succ.key)
+		if !w.beyond(nb.key, k) {
+			return fmt.Errorf("core: scan %s %s: neighbor %s did not advance", verb, k, nb.key)
 		}
+		k = nb.key
 		// System entries (the replicated configuration record) are real
 		// entries at the representative layer but are not user state:
 		// step over them without visiting or counting.
-		if isSystemKey(succ.key) {
-			k = succ.key
+		if isSystemKey(nb.key) {
 			continue
 		}
-		visit(succ)
+		visit(nb)
 		seen++
-		k = succ.key
 	}
 	return nil
 }
@@ -150,34 +159,11 @@ func (tx *Tx) ScanReverse(ctx context.Context, before string, limit int) ([]KV, 
 // unbounded). A before at or below every stored key — including Low()
 // itself — returns empty with no error and no representative probes.
 func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit int) ([]KV, error) {
-	if before.IsLow() {
-		// Nothing lies below the LOW sentinel; probing would ask for
-		// the predecessor of the minimum key.
-		return nil, nil
-	}
-	k := before
 	var out []KV
-	for limit <= 0 || len(out) < limit {
-		pred, err := tx.realPredecessor(ctx, k)
-		if err != nil {
-			return nil, fmt.Errorf("scan before %s: %w", k, err)
-		}
-		if pred.key.IsLow() {
-			break
-		}
-		// Mirror of walkSpan's guard: each step must strictly descend.
-		if !pred.key.Less(k) {
-			return nil, fmt.Errorf("core: scan before %s: predecessor %s did not advance", k, pred.key)
-		}
-		// Step over system entries without emitting them (see walkSpan).
-		if isSystemKey(pred.key) {
-			k = pred.key
-			continue
-		}
-		out = append(out, KV{Key: pred.key.Raw(), Value: pred.value})
-		k = pred.key
-	}
-	return out, nil
+	err := tx.walk(ctx, true, before, keyspace.Low(), limit, func(nb neighbor) {
+		out = append(out, KV{Key: nb.key.Raw(), Value: nb.value})
+	})
+	return out, err
 }
 
 // Count returns the number of current entries as one atomic transaction.
@@ -185,8 +171,8 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // locking), so the total is quorum-consistent: entries installed by
 // concurrent writers or read-repair freshens either commit before the
 // count (and are locked out of changing mid-walk) or after it — never
-// half-observed. Intended for small directories and audits; it costs one
-// real-successor search per entry.
+// half-observed. Intended for small directories and audits: it walks
+// every entry, in batches that double up to maxWalkBatch.
 func (s *Suite) Count(ctx context.Context) (int, error) {
 	var n int
 	err := s.runTxn(ctx, OpCount, false, func(tx *Tx) error {
@@ -203,13 +189,13 @@ func (tx *Tx) Count(ctx context.Context) (int, error) {
 }
 
 // CountSpan counts current entries with after < key < until without
-// materializing them. The strict-advance guard in walkSpan is what makes
+// materializing them. The strict-advance guard in walk is what makes
 // the total trustworthy: no key can be visited (and so counted) twice,
 // even if a representative serves an anomalous successor during a
 // concurrent read-repair install.
 func (tx *Tx) CountSpan(ctx context.Context, after, until keyspace.Key) (int, error) {
 	n := 0
-	err := tx.walkSpan(ctx, after, until, 0, func(neighbor) { n++ })
+	err := tx.walk(ctx, false, after, until, 0, func(neighbor) { n++ })
 	return n, err
 }
 

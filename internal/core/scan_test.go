@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"repdir/internal/keyspace"
 	"sort"
 	"testing"
+
+	"repdir/internal/keyspace"
+	"repdir/internal/quorum"
+	"repdir/internal/rep"
+	"repdir/internal/transport"
 )
 
 func TestScanEmpty(t *testing.T) {
@@ -109,22 +113,140 @@ func TestScanSkipsGhosts(t *testing.T) {
 	if err := ts.suite.Delete(ctx, "d"); err != nil {
 		t.Fatal(err)
 	}
+	// Leave A stale in the other two ways a member can be: an older
+	// version of a current entry (c) and a missing entry (f).
+	if err := ts.suite.Update(ctx, "c", "vc2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.suite.Insert(ctx, "f", "vf"); err != nil {
+		t.Fatal(err)
+	}
 	if has, _ := ts.repHas(0, "b"); !has {
 		t.Fatal("test setup: A should hold ghost b")
 	}
-	// Scan with a read quorum including the stale A.
-	ts.script.set([]int{0, 2}, nil)
-	got, err := ts.suite.Scan(ctx, "", 0)
+	if has, ver := ts.repHas(0, "c"); !has || ver != 1 {
+		t.Fatalf("test setup: A should hold c at version 1, has=%v ver=%v", has, ver)
+	}
+	if has, _ := ts.repHas(0, "f"); has {
+		t.Fatal("test setup: A should be missing f")
+	}
+	// Scan with read quorums including the stale A, in both directions
+	// and with the stale member in either position.
+	want := []KV{{"a", "val-a"}, {"c", "vc2"}, {"e", "val-e"}, {"f", "vf"}}
+	for _, q := range [][]int{{0, 2}, {2, 0}, {0, 1}} {
+		ts.script.set(q, nil)
+		got, err := ts.suite.Scan(ctx, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("quorum %v: scan = %v, want %v", q, got, want)
+		}
+		rev, err := ts.suite.ScanReverse(ctx, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if len(rev) != len(want) || rev[i] != want[len(want)-1-i] {
+				t.Fatalf("quorum %v: reverse scan = %v, want %v reversed", q, rev, want)
+			}
+		}
+		// A limited page stops where the limit says, stale member or not.
+		page, err := ts.suite.Scan(ctx, "a", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(page) != fmt.Sprint(want[1:3]) {
+			t.Fatalf("quorum %v: Scan(a, 2) = %v, want %v", q, page, want[1:3])
+		}
+	}
+}
+
+// TestScanPageIsOneBatchPerMember pins the section 4 batching claim for
+// scans: with no ghosts, Scan(after, 50) is one SuccessorBatch message
+// to each member of the read quorum, whose replies also decide every
+// entry's currency — no per-entry Lookup round — plus the aborts that
+// release the read locks. Unlimited walks double their batches, so a
+// Count costs a logarithmic number of messages per member.
+func TestScanPageIsOneBatchPerMember(t *testing.T) {
+	ctx := context.Background()
+	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 71)
+	keys := make([]string, 120)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%03d", i)
+	}
+	ts.prepopulate(t, keys...)
+	totals := func() (lookups, probes, aborts uint64) {
+		for _, r := range ts.reps {
+			c := r.Counters()
+			lookups += c.Lookups
+			probes += c.NeighborProbes
+			aborts += c.Aborts
+		}
+		return
+	}
+	l0, p0, a0 := totals()
+	page, err := ts.suite.Scan(ctx, "k009", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a", "c", "e"}
-	if len(got) != len(want) {
-		t.Fatalf("scan = %v, want %v", got, want)
+	if len(page) != 50 || page[0].Key != "k010" || page[49].Key != "k059" {
+		t.Fatalf("Scan(k009, 50) = %d entries from %v", len(page), page[0])
 	}
-	for i := range want {
-		if got[i].Key != want[i] {
-			t.Fatalf("scan = %v, want %v", got, want)
+	l1, p1, a1 := totals()
+	if l1 != l0 || p1-p0 != 2 || a1-a0 != 2 {
+		t.Errorf("Scan(k009, 50) sent %d lookups, %d neighbor batches, %d aborts; want 0, 2 (R), 2 (R)",
+			l1-l0, p1-p0, a1-a0)
+	}
+	n, err := ts.suite.Count(ctx)
+	if err != nil || n != len(keys) {
+		t.Fatalf("Count = %d, %v; want %d", n, err, len(keys))
+	}
+	// 121 replies per member (the entries and HIGH) in batches of
+	// 1, 2, 4, ..., 64: seven messages per member.
+	l2, p2, _ := totals()
+	if l2 != l1 || p2-p1 != 2*7 {
+		t.Errorf("Count sent %d lookups, %d neighbor batches; want 0, 14", l2-l1, p2-p1)
+	}
+}
+
+// TestScanChasesWitnessValues: a witness holds versions but no values,
+// so when the witness's batch reply is the winning one for an entry —
+// here because the other quorum member missed the write — the scan
+// must chase the value from a store member, as a quorum lookup does.
+func TestScanChasesWitnessValues(t *testing.T) {
+	ctx := context.Background()
+	a, b := transport.NewLocal(rep.New("A")), transport.NewLocal(rep.New("B"))
+	w := transport.NewLocal(rep.New("W", rep.AsWitness()))
+	cfg := quorum.Config{
+		Members: []quorum.Member{{Dir: a, Votes: 1}, {Dir: b, Votes: 1}, {Dir: w, Votes: 1, Witness: true}},
+		R:       2, W: 2,
+	}
+	script := &scriptSelector{cfg: cfg}
+	suite, err := NewSuite(cfg, WithSelector(script))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script.set([]int{0, 2}, []int{0, 2})
+	for _, k := range []string{"k1", "k2", "k3"} {
+		if err := suite.Insert(ctx, k, "v-"+k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "[{k1 v-k1} {k2 v-k2} {k3 v-k3}]"
+	// {B, W}: B misses every entry, so the witness wins and the value is
+	// chased from A. {A, W}: a tie, which A's reply wins.
+	for _, q := range [][]int{{1, 2}, {2, 1}, {0, 2}} {
+		script.set(q, nil)
+		got, err := suite.Scan(ctx, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != want {
+			t.Errorf("quorum %v: scan = %v, want %s", q, got, want)
+		}
+		if kv, found, err := suite.Predecessor(ctx, ""); err != nil || !found || kv != (KV{"k3", "v-k3"}) {
+			t.Errorf("quorum %v: Predecessor(\"\") = %v, %v, %v", q, kv, found, err)
 		}
 	}
 }
@@ -154,14 +276,22 @@ func TestScanMatchesOracleUnderRandomWorkload(t *testing.T) {
 	oracle := map[string]string{}
 	for step := 0; step < 150; step++ {
 		key := fmt.Sprintf("k%02d", rng.Intn(25))
-		if rng.Intn(2) == 0 {
-			if _, ok := oracle[key]; !ok {
-				if err := ts.suite.Insert(ctx, key, key); err != nil {
-					t.Fatal(err)
-				}
-				oracle[key] = key
+		_, present := oracle[key]
+		switch op := rng.Intn(3); {
+		case !present && op < 2:
+			if err := ts.suite.Insert(ctx, key, key); err != nil {
+				t.Fatal(err)
 			}
-		} else if _, ok := oracle[key]; ok {
+			oracle[key] = key
+		case present && op == 0:
+			// Updates leave the member outside the write quorum holding
+			// an older version that later scans must outrank.
+			val := fmt.Sprintf("%s@%d", key, step)
+			if err := ts.suite.Update(ctx, key, val); err != nil {
+				t.Fatal(err)
+			}
+			oracle[key] = val
+		case present:
 			if err := ts.suite.Delete(ctx, key); err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +311,8 @@ func TestScanMatchesOracleUnderRandomWorkload(t *testing.T) {
 				t.Fatalf("step %d: scan %d entries, oracle %d", step, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].Key != want[i] {
-					t.Fatalf("step %d: scan[%d] = %s, want %s", step, i, got[i].Key, want[i])
+				if got[i].Key != want[i] || got[i].Value != oracle[want[i]] {
+					t.Fatalf("step %d: scan[%d] = %v, want %s=%s", step, i, got[i], want[i], oracle[want[i]])
 				}
 			}
 		}

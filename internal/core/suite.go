@@ -193,11 +193,15 @@ func (o budgetOption) apply(s *Suite) { s.budget = o.b }
 func WithRetryBudget(b *RetryBudget) Option { return budgetOption{b: b} }
 
 // WithNeighborFanout sets how many successive predecessors/successors
-// each neighbor probe fetches in one message during Delete's
-// real-predecessor and real-successor searches. The default 1 is the
-// paper's base Figure 12 algorithm; the paper's section 4 suggests 3,
-// with which "the real predecessor and real successor will often be
-// located using one remote procedure call to each member of the quorum".
+// each neighbor probe fetches in one message during single
+// real-neighbor searches: Delete's two, Successor/Predecessor, and
+// ReconcileReplica's segments. The default 1 is the paper's base
+// Figure 12 algorithm; the paper's section 4 suggests 3, with which
+// "the real predecessor and real successor will often be located using
+// one remote procedure call to each member of the quorum". Scans and
+// Count size their batches from the call instead — a limited scan asks
+// for what it still needs, an unlimited walk doubles — with the fanout
+// as the floor.
 func WithNeighborFanout(n int) Option { return fanoutOption{n: n} }
 
 // nextSuiteNode hands each Suite in this process a distinct wait-die node

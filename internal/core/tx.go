@@ -215,6 +215,14 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if err := tx.roundError(members, errs, "lookup", key); err != nil {
 		return rep.LookupResult{}, err
 	}
+	return tx.winner(ctx, key, members, replies)
+}
+
+// winner is Figure 8's comparison over one read quorum's DirRepLookup
+// replies for key (replies[i] from members[i]), whether they came from a
+// lookup round or a walk's batches. Every value the suite ever returns
+// flows through it, so its witness chase and read repair cover them all.
+func (tx *Tx) winner(ctx context.Context, key keyspace.Key, members []quorum.Member, replies []rep.LookupResult) (rep.LookupResult, error) {
 	// Figure 8: bestv starts at LowestVersion; strictly larger versions
 	// win. Replies at LowestVersion leave the default "not present".
 	best := rep.LookupResult{Found: false, Version: version.Lowest}
@@ -243,9 +251,7 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	}
 	// A witness holds versions but no values: when the winning entry
 	// reply came from one, chase the value from a store member before
-	// answering. Every value the suite ever returns — lookups, scans,
-	// neighbor searches, and Delete's bound copies — flows through this
-	// one comparison, so the chase here covers them all.
+	// answering.
 	if best.Found && bestIdx >= 0 && members[bestIdx].Witness {
 		chased, err := tx.chaseValue(ctx, key, best, members)
 		if err != nil {
@@ -261,7 +267,7 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if tx.suite.rrQueue != nil && !tx.repairTxn && best.Found {
 		var stale []rep.Directory
 		for i := range members {
-			if errs[i] == nil && replies[i].Version < best.Version {
+			if replies[i].Version < best.Version {
 				stale = append(stale, members[i].Dir)
 			}
 		}

@@ -52,6 +52,9 @@ type Manager struct {
 	suite *core.Suite
 	rec   Record // zero Epoch until Init or Refresh finds a record
 	dirs  map[string]rep.Directory
+	// counted is the highest epoch reported to the observer; it differs
+	// from rec.Epoch when the seed configuration already carried one.
+	counted uint64
 }
 
 // Option configures a Manager.
@@ -207,8 +210,16 @@ func (m *Manager) buildSuite(rec Record) (*core.Suite, error) {
 // OnChange hook. The previous suite's background workers are stopped.
 // Epochs only move forward: a concurrent Refresh racing a transition
 // must not reinstate a superseded record.
+//
+// Epoch advances are counted here, where the manager adopts a record,
+// not where a record write replies: a write whose reply is lost may
+// still commit, and the next Refresh adopts what it committed.
 func (m *Manager) install(rec Record, s *core.Suite) {
 	m.mu.Lock()
+	if rec.Epoch > m.counted {
+		m.counted = rec.Epoch
+		m.obs.EpochAdvanced()
+	}
 	if m.rec.Epoch != 0 && rec.Epoch <= m.rec.Epoch {
 		m.mu.Unlock()
 		s.Close()
@@ -385,7 +396,6 @@ func (m *Manager) Init(ctx context.Context) (Record, error) {
 		}
 		return Record{}, err
 	}
-	m.obs.EpochAdvanced()
 	if err := m.fenceEpoch(ctx, epoch, init.Current.Members, init.Current); err != nil {
 		return Record{}, err
 	}

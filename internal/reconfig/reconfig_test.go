@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repdir/internal/core"
+	"repdir/internal/lock"
+	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -296,5 +299,62 @@ func TestCrashMidTransitionResumes(t *testing.T) {
 	}
 	if v, found, err := m2.Lookup(ctx, "k"); err != nil || !found || v != "v" {
 		t.Fatalf("k = %q %v %v after resumed transition", v, found, err)
+	}
+}
+
+// lostCommitReply applies Commit at the wrapped member but, while
+// armed, loses the reply once: the coordinator sees the member
+// unavailable although the transaction committed there.
+type lostCommitReply struct {
+	rep.Directory
+	armed atomic.Bool
+}
+
+func (d *lostCommitReply) Commit(ctx context.Context, txn lock.TxnID) error {
+	err := d.Directory.Commit(ctx, txn)
+	if err == nil && d.armed.CompareAndSwap(true, false) {
+		return fmt.Errorf("commit reply lost: %w", transport.ErrUnavailable)
+	}
+	return err
+}
+
+// TestEpochCountedWhenRecordReplyLost: the joint record's write commits
+// everywhere but every commit reply is lost, so Reconfigure fails; the
+// retry's CompleteTransition adopts the joint record and finishes the
+// change. The observer must count every epoch the manager passed
+// through — init, joint, stable — including the one whose write was
+// never acknowledged.
+func TestEpochCountedWhenRecordReplyLost(t *testing.T) {
+	ctx := context.Background()
+	lossy := make([]*lostCommitReply, 3)
+	dirs := make([]rep.Directory, len(lossy))
+	for i, n := range []string{"A", "B", "C"} {
+		lossy[i] = &lostCommitReply{Directory: transport.NewLocal(rep.New(n))}
+		dirs[i] = lossy[i]
+	}
+	o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
+	m, err := NewManager(quorum.NewUniform(dirs, 2, 2), WithObserver(o), WithSelectorSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range lossy {
+		d.armed.Store(true)
+	}
+	change := Change{Reweight: map[string]int{"B": 2}, R: 2, W: 3}
+	if _, err := m.Reconfigure(ctx, change); err == nil {
+		t.Fatal("Reconfigure succeeded although every record-commit reply was lost")
+	}
+	rec, err := m.CompleteTransition(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Epoch != 3 || rec.Phase != PhaseStable {
+		t.Fatalf("record after resume = epoch %d phase %v, want stable epoch 3", rec.Epoch, rec.Phase)
+	}
+	if got := o.Reconfig().Epochs; got != 3 {
+		t.Errorf("observer counted %d epoch advances, want 3 (init, joint, stable)", got)
 	}
 }

@@ -9,6 +9,12 @@ import (
 	"repdir/internal/lock"
 )
 
+// maxBatchPrealloc caps the capacity a batch reply preallocates. max
+// arrives off the wire, and the decoder admits counts up to 1<<20: one
+// request must not make a replica allocate tens of megabytes before it
+// has read an entry. Larger batches grow by append.
+const maxBatchPrealloc = 256
+
 // PredecessorBatch returns up to max successive predecessors of key,
 // walking downward: the first element is the entry immediately below key,
 // the second the entry below that, and so on. Element i's GapVersion is
@@ -47,7 +53,7 @@ func (r *Rep) PredecessorBatch(ctx context.Context, txn lock.TxnID, key keyspace
 			return nil, err
 		}
 		r.touch(txn)
-		out := make([]NeighborResult, 0, max)
+		out := make([]NeighborResult, 0, min(max, maxBatchPrealloc))
 		k := key
 		for len(out) < max {
 			pred, ok := r.store.Lower(k)
@@ -105,7 +111,7 @@ func (r *Rep) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.K
 			return nil, err
 		}
 		r.touch(txn)
-		out := make([]NeighborResult, 0, max)
+		out := make([]NeighborResult, 0, min(max, maxBatchPrealloc))
 		k := key
 		for len(out) < max {
 			succ, ok := r.store.Higher(k)

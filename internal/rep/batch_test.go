@@ -57,6 +57,50 @@ func TestSuccessorBatchWalksUp(t *testing.T) {
 	r.Commit(ctx, txn)
 }
 
+// TestBatchHugeMaxOnSmallStore checks that a batch size taken off the
+// wire does not size the reply's allocation: a request for a million
+// neighbors of a three-entry store returns the entries up to the
+// sentinel, in a slice no larger than a bounded preallocation.
+func TestBatchHugeMaxOnSmallStore(t *testing.T) {
+	r := New("A")
+	mustInsert(t, r, 1, "b", 1, "vb")
+	mustInsert(t, r, 2, "d", 2, "vd")
+	mustInsert(t, r, 3, "f", 3, "vf")
+	const huge = 1 << 20
+	txn := lock.TxnID(4)
+	succ, err := r.SuccessorBatch(ctx, txn, keyspace.Low(), huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := r.PredecessorBatch(ctx, txn, keyspace.High(), huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Commit(ctx, txn)
+	for name, batch := range map[string][]NeighborResult{"successor": succ, "predecessor": pred} {
+		if len(batch) != 4 {
+			t.Errorf("%s batch length = %d, want 4 (three entries and a sentinel)", name, len(batch))
+		}
+		if cap(batch) > maxBatchPrealloc {
+			t.Errorf("%s batch capacity = %d for %d entries: preallocation follows the requested max", name, cap(batch), len(batch))
+		}
+	}
+	// A batch longer than the preallocation cap still arrives whole.
+	big := New("B")
+	for i := 0; i < 2*maxBatchPrealloc; i++ {
+		mustInsert(t, big, lock.TxnID(i+1), fmt.Sprintf("k%04d", i), 1, "v")
+	}
+	txn = lock.TxnID(10000)
+	all, err := big.SuccessorBatch(ctx, txn, keyspace.Low(), huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Commit(ctx, txn)
+	if len(all) != 2*maxBatchPrealloc+1 {
+		t.Errorf("long batch length = %d, want %d", len(all), 2*maxBatchPrealloc+1)
+	}
+}
+
 func TestBatchStopsAtSentinels(t *testing.T) {
 	r := New("A")
 	mustInsert(t, r, 1, "m", 1, "v")
