@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench benchall benchshard benchsmoke benchtest benchworkload benchoverload benchdiff workload overload raceoverload chaos crash shard reconfig obsdeps
+.PHONY: check vet build test race bench benchall benchshard benchsmoke benchtest benchworkload benchoverload benchdiff workload overload raceoverload chaos crash shard reconfig obsdeps nogob
 
-check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchsmoke benchtest
+check: vet obsdeps nogob build race shard crash chaos reconfig workload overload raceoverload benchsmoke benchtest
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,20 @@ obsdeps:
 		echo "internal/obs has non-stdlib dependencies:"; echo "$$deps"; exit 1; \
 	fi
 	@echo "internal/obs is stdlib-only"
+
+# One codec: wire messages, WAL records, and snapshots all use
+# internal/codec, so encoding/gob must not creep back into the build of
+# the root module or of the nested perfbench module.
+nogob:
+	@deps=$$($(GO) list -deps ./... | grep -x 'encoding/gob' || true); \
+	benchdeps=$$(cd perfbench && $(GO) list -deps ./... | grep -x 'encoding/gob' || true); \
+	if [ -n "$$deps$$benchdeps" ]; then \
+		echo "encoding/gob is linked:"; \
+		[ -z "$$deps" ] || echo "  root module"; \
+		[ -z "$$benchdeps" ] || echo "  perfbench module"; \
+		exit 1; \
+	fi
+	@echo "no encoding/gob dependency"
 
 build:
 	$(GO) build ./...

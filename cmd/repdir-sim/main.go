@@ -12,7 +12,6 @@
 //	repdir-sim -experiment heal    # circuit breaker + anti-entropy recovery curve
 //	repdir-sim -experiment storage # crash points, salvage recovery curve, rebuild throughput
 //	repdir-sim -experiment traffic # live instrumented traffic with a Delete trace
-//	repdir-sim -experiment wire    # transport codec comparison (gob vs binary, batching)
 //	repdir-sim -experiment shard   # keyspace sharding: write throughput at 1/2/4/8 shards
 //	repdir-sim -experiment workload # open-loop workload mixes with SLO verdicts
 //	repdir-sim -experiment overload # overload curve: goodput plateau + bounded tail past saturation
@@ -53,7 +52,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("repdir-sim", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "fig14, fig15, fig16, sticky, conc, or all")
+		experiment = fs.String("experiment", "all", "fig14, fig15, fig16, sticky, batch, model, skew, scale, shard, conc, chaos, heal, storage, traffic, workload, overload, or all")
 		seed       = fs.Int64("seed", 1983, "workload seed")
 		ops        = fs.Int("ops", 0, "override operations per run (0 = paper's values)")
 		clients    = fs.Int("clients", 8, "concurrent clients for the concurrency comparison")
@@ -227,14 +226,6 @@ func run(args []string) error {
 			fmt.Print(sim.FormatStorage(res))
 			return nil
 		},
-		"wire": func() error {
-			res, err := sim.RunWire(sim.WireConfig{Seed: *seed, Ops: *ops, Workers: *clients})
-			if err != nil {
-				return err
-			}
-			fmt.Print(sim.FormatWire(res))
-			return nil
-		},
 		"shard": func() error {
 			opsPerClient := *ops
 			if opsPerClient == 0 {
@@ -297,11 +288,11 @@ func run(args []string) error {
 		},
 	}
 
-	order := []string{"fig14", "fig15", "fig16", "sticky", "batch", "model", "skew", "scale", "shard", "conc", "chaos", "heal", "storage", "traffic", "wire", "workload", "overload"}
+	order := []string{"fig14", "fig15", "fig16", "sticky", "batch", "model", "skew", "scale", "shard", "conc", "chaos", "heal", "storage", "traffic", "workload", "overload"}
 	if *experiment != "all" {
 		fn, ok := runs[*experiment]
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (want fig14, fig15, fig16, sticky, batch, model, skew, scale, shard, conc, chaos, heal, storage, traffic, wire, workload, overload, or all)", *experiment)
+			return fmt.Errorf("unknown experiment %q (want fig14, fig15, fig16, sticky, batch, model, skew, scale, shard, conc, chaos, heal, storage, traffic, workload, overload, or all)", *experiment)
 		}
 		return timed(*experiment, fn)
 	}

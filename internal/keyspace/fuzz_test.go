@@ -1,46 +1,6 @@
 package keyspace
 
-import (
-	"bytes"
-	"testing"
-)
-
-// FuzzUnmarshalBinary feeds arbitrary bytes to the key decoder: it must
-// never panic, and every successfully decoded key must re-encode to a
-// form that decodes back to an equal key.
-func FuzzUnmarshalBinary(f *testing.F) {
-	seed, _ := New("hello").MarshalBinary()
-	f.Add(seed)
-	low, _ := Low().MarshalBinary()
-	f.Add(low)
-	high, _ := High().MarshalBinary()
-	f.Add(high)
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x01, 0x02})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var k Key
-		if err := k.UnmarshalBinary(data); err != nil {
-			return // malformed input is allowed to fail, not to panic
-		}
-		out, err := k.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-encode of decoded key failed: %v", err)
-		}
-		var back Key
-		if err := back.UnmarshalBinary(out); err != nil {
-			t.Fatalf("round trip decode failed: %v", err)
-		}
-		if !back.Equal(k) {
-			t.Fatalf("round trip changed key: %s vs %s", k, back)
-		}
-		// Canonical form: re-encoding a decoded normal key reproduces
-		// the input.
-		if !k.IsSentinel() && !bytes.Equal(out, data) {
-			t.Fatalf("encoding not canonical: %x vs %x", out, data)
-		}
-	})
-}
+import "testing"
 
 // FuzzTupleRoundTrip: arbitrary components survive encode/decode, and
 // arbitrary bytes never panic the decoder.

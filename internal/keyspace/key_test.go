@@ -138,35 +138,3 @@ func TestCompareTotalOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: binary round trip preserves keys, including sentinels.
-func TestBinaryRoundTripProperty(t *testing.T) {
-	roundTrip := func(k Key) bool {
-		data, err := k.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var back Key
-		if err := back.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return back.Equal(k)
-	}
-	if !roundTrip(Low()) || !roundTrip(High()) {
-		t.Error("sentinel round trip failed")
-	}
-	f := func(s string) bool { return roundTrip(New(s)) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var k Key
-	if err := k.UnmarshalBinary(nil); err == nil {
-		t.Error("empty input should fail")
-	}
-	if err := k.UnmarshalBinary([]byte{99}); err == nil {
-		t.Error("unknown tag should fail")
-	}
-}

@@ -3,7 +3,6 @@ package rep
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,7 +12,9 @@ import (
 	"sync"
 
 	"repdir/internal/btree"
+	"repdir/internal/codec"
 	"repdir/internal/obs"
+	"repdir/internal/version"
 	"repdir/internal/wal"
 )
 
@@ -26,56 +27,110 @@ var ErrBusy = errors.New("rep: transactions in flight")
 // as recoverable whenever the write-ahead log alone can rebuild state.
 var ErrSnapshotCorrupt = errors.New("rep: snapshot corrupt")
 
-// snapshotFile is the snapshot payload: the full entry dump (sentinels
-// and gap versions included) plus the LSN of the last write-ahead-log
-// record the snapshot covers.
-type snapshotFile struct {
-	Name    string
-	LastLSN uint64
-	Entries []btree.Entry
-	// Epoch is the configuration-epoch fence at checkpoint time; log
-	// truncation would otherwise discard the KindEpoch records that
-	// made the fence durable. Old snapshots decode with zero (gob).
-	Epoch uint64
-}
-
-// Snapshot container format, version 2: a 12-byte header — magic,
-// payload length, CRC32C over header and payload — then the gob
-// payload. Legacy snapshots (bare gob) remain readable: a gob stream
-// can never start with 0xF7 (that prefix byte would announce a 9-byte
-// integer), so the magic is unambiguous.
-var snapMagic = [4]byte{0xF7, 'S', 'N', '2'}
+// Snapshot file format: a 12-byte header — magic, payload length,
+// CRC32C over header and payload — then the payload, built from the
+// internal/codec primitives:
+//
+//	[0:4]  magic  F7 'S' 'N' '3'
+//	[4:8]  payload length, big endian
+//	[8:12] CRC32C over bytes [0:8] and the payload
+//	[12:]  name(bytes) lastLSN(uvarint) epoch(uvarint) count(uvarint)
+//	       count × (key version(uvarint) value(bytes) gapAfter(uvarint))
+//
+// The entries are the full dump, sentinels and gap versions included;
+// lastLSN is the last write-ahead-log record the snapshot covers, and
+// epoch is the configuration-epoch fence at checkpoint time (log
+// truncation would otherwise discard the KindEpoch records that made
+// the fence durable). TestSnapshotGoldenVector pins the layout.
+var snapMagic = [4]byte{0xF7, 'S', 'N', '3'}
 
 const snapHeaderLen = 12
 
+// snapEntryMinLen is the smallest encoded entry (LOW key, one-byte
+// version, empty value, one-byte gap version); it bounds the entry
+// count a payload of a given size can claim.
+const snapEntryMinLen = 4
+
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeSnapshot renders a complete snapshot file.
+func encodeSnapshot(name string, lastLSN uint64, entries []btree.Entry, epoch uint64) []byte {
+	b := make([]byte, snapHeaderLen, snapHeaderLen+64+32*len(entries))
+	copy(b, snapMagic[:])
+	b = codec.AppendBytes(b, name)
+	b = codec.AppendUvarint(b, lastLSN)
+	b = codec.AppendUvarint(b, epoch)
+	b = codec.AppendUvarint(b, uint64(len(entries)))
+	for i := range entries {
+		e := &entries[i]
+		b = codec.AppendKey(b, e.Key)
+		b = codec.AppendUvarint(b, uint64(e.Version))
+		b = codec.AppendBytes(b, e.Value)
+		b = codec.AppendUvarint(b, uint64(e.GapAfter))
+	}
+	binary.BigEndian.PutUint32(b[4:8], uint32(len(b)-snapHeaderLen))
+	crc := crc32.Update(0, snapCRC, b[:8])
+	crc = crc32.Update(crc, snapCRC, b[snapHeaderLen:])
+	binary.BigEndian.PutUint32(b[8:12], crc)
+	return b
+}
+
+// decodeSnapshotPayload decodes the bytes after the header. The whole
+// payload must be consumed.
+func decodeSnapshotPayload(payload []byte) (name string, lastLSN uint64, entries []btree.Entry, epoch uint64, err error) {
+	r := codec.NewReader(payload)
+	if name, err = r.ReadString(); err != nil {
+		return "", 0, nil, 0, err
+	}
+	if lastLSN, err = r.ReadUvarint(); err != nil {
+		return "", 0, nil, 0, err
+	}
+	if epoch, err = r.ReadUvarint(); err != nil {
+		return "", 0, nil, 0, err
+	}
+	n, err := r.ReadCount(snapEntryMinLen)
+	if err != nil {
+		return "", 0, nil, 0, err
+	}
+	if n > 0 {
+		entries = make([]btree.Entry, n)
+	}
+	for i := range entries {
+		e := &entries[i]
+		if e.Key, err = r.ReadKey(); err != nil {
+			return "", 0, nil, 0, err
+		}
+		var v uint64
+		if v, err = r.ReadUvarint(); err != nil {
+			return "", 0, nil, 0, err
+		}
+		e.Version = version.V(v)
+		if e.Value, err = r.ReadString(); err != nil {
+			return "", 0, nil, 0, err
+		}
+		if v, err = r.ReadUvarint(); err != nil {
+			return "", 0, nil, 0, err
+		}
+		e.GapAfter = version.V(v)
+	}
+	if r.Remaining() != 0 {
+		return "", 0, nil, 0, fmt.Errorf("%w: %d trailing bytes", codec.ErrCodec, r.Remaining())
+	}
+	return name, lastLSN, entries, epoch, nil
+}
 
 // WriteSnapshot atomically writes a checksummed snapshot file: temp
 // file, fsync, rename, then fsync of the parent directory so the
 // rename itself survives power loss on journaled filesystems.
 func WriteSnapshot(path, name string, lastLSN uint64, entries []btree.Entry, epoch uint64) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snapshotFile{Name: name, LastLSN: lastLSN, Entries: entries, Epoch: epoch}); err != nil {
-		return fmt.Errorf("rep: snapshot encode: %w", err)
-	}
-	head := make([]byte, snapHeaderLen)
-	copy(head, snapMagic[:])
-	binary.BigEndian.PutUint32(head[4:8], uint32(payload.Len()))
-	crc := crc32.Update(0, snapCRC, head[:8])
-	crc = crc32.Update(crc, snapCRC, payload.Bytes())
-	binary.BigEndian.PutUint32(head[8:12], crc)
-
+	data := encodeSnapshot(name, lastLSN, entries, epoch)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snap-*")
 	if err != nil {
 		return fmt.Errorf("rep: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(head); err != nil {
-		tmp.Close()
-		return fmt.Errorf("rep: snapshot write: %w", err)
-	}
-	if _, err := tmp.Write(payload.Bytes()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("rep: snapshot write: %w", err)
 	}
@@ -92,11 +147,11 @@ func WriteSnapshot(path, name string, lastLSN uint64, entries []btree.Entry, epo
 	return wal.SyncDir(dir)
 }
 
-// ReadSnapshot loads a snapshot file, verifying its checksum when it
-// carries one (legacy bare-gob snapshots are still accepted). A missing
-// file is not an error; it returns ok = false. A file that exists but
-// is truncated or damaged returns an error wrapping ErrSnapshotCorrupt,
-// which OpenDurable downgrades to a WAL-only recovery when possible.
+// ReadSnapshot loads a snapshot file, verifying its magic and checksum.
+// A missing file is not an error; it returns ok = false. A file that
+// exists but is truncated or damaged returns an error wrapping
+// ErrSnapshotCorrupt, which OpenDurable downgrades to a WAL-only
+// recovery when possible.
 func ReadSnapshot(path string) (name string, lastLSN uint64, entries []btree.Entry, epoch uint64, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -105,28 +160,27 @@ func ReadSnapshot(path string) (name string, lastLSN uint64, entries []btree.Ent
 		}
 		return "", 0, nil, 0, false, fmt.Errorf("rep: open snapshot %q: %w", path, err)
 	}
-	payload := data
-	if len(data) >= 4 && bytes.Equal(data[:4], snapMagic[:]) {
-		if len(data) < snapHeaderLen {
-			return "", 0, nil, 0, false, fmt.Errorf("%w: %q: truncated header (%d bytes)", ErrSnapshotCorrupt, path, len(data))
-		}
-		n := binary.BigEndian.Uint32(data[4:8])
-		if int64(n) != int64(len(data)-snapHeaderLen) {
-			return "", 0, nil, 0, false, fmt.Errorf("%w: %q: header claims %d payload bytes, file holds %d",
-				ErrSnapshotCorrupt, path, n, len(data)-snapHeaderLen)
-		}
-		crc := crc32.Update(0, snapCRC, data[:8])
-		crc = crc32.Update(crc, snapCRC, data[snapHeaderLen:])
-		if crc != binary.BigEndian.Uint32(data[8:12]) {
-			return "", 0, nil, 0, false, fmt.Errorf("%w: %q: checksum mismatch", ErrSnapshotCorrupt, path)
-		}
-		payload = data[snapHeaderLen:]
+	if len(data) < snapHeaderLen {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: truncated header (%d bytes)", ErrSnapshotCorrupt, path, len(data))
 	}
-	var snap snapshotFile
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+	if !bytes.Equal(data[:4], snapMagic[:]) {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: bad magic % x", ErrSnapshotCorrupt, path, data[:4])
+	}
+	n := binary.BigEndian.Uint32(data[4:8])
+	if int64(n) != int64(len(data)-snapHeaderLen) {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: header claims %d payload bytes, file holds %d",
+			ErrSnapshotCorrupt, path, n, len(data)-snapHeaderLen)
+	}
+	crc := crc32.Update(0, snapCRC, data[:8])
+	crc = crc32.Update(crc, snapCRC, data[snapHeaderLen:])
+	if crc != binary.BigEndian.Uint32(data[8:12]) {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: checksum mismatch", ErrSnapshotCorrupt, path)
+	}
+	name, lastLSN, entries, epoch, err = decodeSnapshotPayload(data[snapHeaderLen:])
+	if err != nil {
 		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: %v", ErrSnapshotCorrupt, path, err)
 	}
-	return snap.Name, snap.LastLSN, snap.Entries, snap.Epoch, true, nil
+	return name, lastLSN, entries, epoch, true, nil
 }
 
 // seedStore replaces the representative's store with snapshot entries.

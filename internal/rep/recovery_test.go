@@ -2,7 +2,6 @@ package rep
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
 	"testing"
@@ -288,24 +287,6 @@ func TestTornTailRecoversUnderStrict(t *testing.T) {
 	r.Commit(ctx, 10)
 }
 
-func TestLegacySnapshotStillReadable(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	// Write a v1 (bare gob) snapshot the way the old code did.
-	entries := New("old").Dump()
-	writeLegacySnapshot(t, snapPath, snapshotFile{Name: "old", LastLSN: 0, Entries: entries})
-	r, d, err := OpenDurable("old", walPath, snapPath)
-	if err != nil {
-		t.Fatalf("legacy snapshot unreadable: %v", err)
-	}
-	defer d.Close()
-	if !d.Recovery().SnapshotLoaded {
-		t.Error("legacy snapshot not loaded")
-	}
-	if r.Len() != 2 {
-		t.Errorf("legacy snapshot entries lost: %d", r.Len())
-	}
-}
-
 func TestParseRecoveryPolicy(t *testing.T) {
 	for s, want := range map[string]RecoveryPolicy{
 		"strict": RecoverStrict, "salvage": RecoverSalvage, "Rebuild": RecoverRebuild,
@@ -320,21 +301,5 @@ func TestParseRecoveryPolicy(t *testing.T) {
 	}
 	if _, err := ParseRecoveryPolicy("yolo"); err == nil {
 		t.Error("unknown policy should error")
-	}
-}
-
-// writeLegacySnapshot writes a v1 (bare gob, no checksum) snapshot the
-// way the pre-upgrade code did.
-func writeLegacySnapshot(t *testing.T, path string, snap snapshotFile) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -826,6 +826,20 @@ func addRepairStats(dst *core.RepairStats, s core.RepairStats) {
 	dst.Gaps += s.Gaps
 }
 
+// suspendAfter is how many attempts at an operator step — a
+// reconfiguration, or a storage-phase rebuild — run fully under the
+// fault schedule before the operator holds the chaos for a maintenance
+// window to let the step finish.
+const suspendAfter = 8
+
+// suspendFaults pauses (true) or resumes (false) fault injection in
+// every shard: the operator's maintenance window.
+func (h *chaosHarness) suspendFaults(v bool) {
+	for _, in := range h.injectors {
+		in.Suspend(v)
+	}
+}
+
 // storagePhase corrupts a minority of one shard's members' logs mid-run
 // and drives each through restart-in-recovering-mode and a synchronous
 // rebuild from its peers. Quorum intersection tolerates a minority
@@ -840,6 +854,12 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	suspended := false
+	defer func() {
+		if suspended {
+			h.suspendFaults(false)
+		}
+	}()
 	for _, m := range members[:minority] {
 		res.RecordsLost += m.LoseStorage()
 		res.StorageLosses++
@@ -849,6 +869,15 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 		for attempt := 0; ; attempt++ {
 			if attempt >= 50 {
 				return fmt.Errorf("storage phase: rebuild of %s would not complete: %w", m.Name(), lastErr)
+			}
+			// A rebuild reconciles every entry (many calls), and under a
+			// per-call fault rate the windows it meets on live members
+			// can leave it without a read quorum on every attempt; past a
+			// few failures the operator holds the chaos for a maintenance
+			// window, exactly as the churn step does.
+			if attempt == suspendAfter {
+				suspended = true
+				h.suspendFaults(true)
 			}
 			// End every open window, in every shard — the
 			// operator-intervention analogue: the victim restarts from
@@ -886,6 +915,12 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 			res.Rebuilds++
 			addRepairStats(&res.Rebuild, st)
 			m.RebuildDone()
+			if suspended {
+				// Maintenance window over: the next rebuild, and the
+				// workload after the phase, run under fire again.
+				suspended = false
+				h.suspendFaults(false)
+			}
 			break
 		}
 	}

@@ -50,11 +50,6 @@ type churnPlan struct {
 // its three windows (before, between, and after the storage phase).
 const churnMinOps = 32
 
-// churnSuspendAfter is how many reconfiguration attempts run fully
-// under the fault schedule before the operator holds the chaos for a
-// maintenance window to let the transition's catch-up passes finish.
-const churnSuspendAfter = 8
-
 // newChurnPlan derives the schedule from the seed. The three steps land
 // in disjoint windows: the add before the midpoint storage phase, the
 // witness and the removal after it, so every combination of
@@ -188,9 +183,7 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 	suspended := false
 	defer func() {
 		if suspended {
-			for _, in := range h.injectors {
-				in.Suspend(false)
-			}
+			h.suspendFaults(false)
 		}
 	}()
 	for shard := range h.managers {
@@ -214,11 +207,9 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 			// operator does what a real one would — holds the chaos for a
 			// maintenance window — and the schedule resumes afterwards,
 			// exactly where it paused.
-			if attempt == churnSuspendAfter {
+			if attempt == suspendAfter {
 				suspended = true
-				for _, in := range h.injectors {
-					in.Suspend(true)
-				}
+				h.suspendFaults(true)
 			}
 			// Operator checkpoint, mirroring the storage phase: end fault
 			// windows in every shard so quorums and fences can assemble,
@@ -266,9 +257,7 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 			// paused, so the fence probe below and the rest of the
 			// workload run under fire again.
 			suspended = false
-			for _, in := range h.injectors {
-				in.Suspend(false)
-			}
+			h.suspendFaults(false)
 		}
 		if h.wireErr != nil {
 			return h.wireErr

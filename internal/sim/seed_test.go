@@ -12,9 +12,6 @@ func TestZeroSeedPreserved(t *testing.T) {
 	if got := (TrafficConfig{}).withDefaults().Seed; got != 0 {
 		t.Errorf("TrafficConfig zero seed coerced to %d", got)
 	}
-	if got := (WireConfig{}).withDefaults().Seed; got != 0 {
-		t.Errorf("WireConfig zero seed coerced to %d", got)
-	}
 	if got := (StorageConfig{}).withDefaults().Seed; got != 0 {
 		t.Errorf("StorageConfig zero seed coerced to %d", got)
 	}

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"testing"
+	"time"
 
+	"repdir/internal/codec"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/rep"
@@ -29,7 +30,7 @@ func BenchmarkLocalLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPRoundTrip measures a full gob request/response cycle over
+// BenchmarkTCPRoundTrip measures a full request/response cycle over
 // loopback.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	srv, err := Serve(rep.New("bench"), "127.0.0.1:0")
@@ -60,7 +61,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 // delayDir adds a fixed service time to every Lookup, standing in for
 // the lock waits, fsyncs, and network distance a loaded deployment sees.
 // Loopback RTT is near zero, so without it a quorum benchmark measures
-// only gob CPU cost and says nothing about pipelining.
+// only codec CPU cost and says nothing about pipelining.
 type delayDir struct {
 	rep.Directory
 	delay time.Duration
@@ -169,16 +170,16 @@ func (d nopDir) Insert(context.Context, lock.TxnID, keyspace.Key, version.V, str
 func (d nopDir) Coalesce(context.Context, lock.TxnID, keyspace.Key, keyspace.Key, version.V) (rep.CoalesceResult, error) {
 	return rep.CoalesceResult{}, nil
 }
-func (d nopDir) Prepare(context.Context, lock.TxnID) error              { return nil }
-func (d nopDir) Commit(context.Context, lock.TxnID) error               { return nil }
-func (d nopDir) Abort(context.Context, lock.TxnID) error                { return nil }
+func (d nopDir) Prepare(context.Context, lock.TxnID) error                 { return nil }
+func (d nopDir) Commit(context.Context, lock.TxnID) error                  { return nil }
+func (d nopDir) Abort(context.Context, lock.TxnID) error                   { return nil }
 func (d nopDir) Status(context.Context, lock.TxnID) (rep.TxnStatus, error) { return 0, nil }
 
-// benchQuorumRound is the codec comparison harness: one round = a
+// benchQuorumRound is the batching comparison harness: one round = a
 // 3-member Lookup fan-out plus a 3-member Abort fan-out (6 messages),
 // with `workers` rounds in flight over the same single connection per
 // member. Members answer instantly (nopDir), so ns/op is transport
-// cost — exactly what the gob→binary migration targets.
+// cost: codec, framing, and syscalls.
 func benchQuorumRound(b *testing.B, workers int, dialOpts ...DialOption) {
 	const members = 3
 	ctx := context.Background()
@@ -241,16 +242,11 @@ func benchQuorumRound(b *testing.B, workers int, dialOpts ...DialOption) {
 	wg.Wait()
 }
 
-// BenchmarkTCPQuorumRound is the acceptance benchmark for the binary
-// codec: same machine, same harness, three codecs. "gob" is the
-// pre-codec baseline, "binary_nobatch" isolates the codec win
-// (every message in its own frame), "binary" adds group-commit
-// batching on top.
+// BenchmarkTCPQuorumRound measures group-commit batching: same
+// machine, same harness, "binary_nobatch" with every message in its
+// own frame, "binary" with batching on.
 func BenchmarkTCPQuorumRound(b *testing.B) {
 	const workers = 16
-	b.Run("gob", func(b *testing.B) {
-		benchQuorumRound(b, workers, WithGobProtocol())
-	})
 	b.Run("binary_nobatch", func(b *testing.B) {
 		benchQuorumRound(b, workers, WithMaxBatch(1))
 	})
@@ -260,8 +256,7 @@ func BenchmarkTCPQuorumRound(b *testing.B) {
 }
 
 // benchSingleConn saturates ONE client connection with pipelined
-// lookups from `workers` goroutines — the "single-connection
-// throughput" number the codec migration is judged on.
+// lookups from `workers` goroutines — single-connection throughput.
 func benchSingleConn(b *testing.B, workers int, dialOpts ...DialOption) {
 	srv, err := Serve(nopDir{name: "s"}, "127.0.0.1:0", WithPerConnConcurrency(4*workers))
 	if err != nil {
@@ -298,12 +293,10 @@ func benchSingleConn(b *testing.B, workers int, dialOpts ...DialOption) {
 	wg.Wait()
 }
 
-// BenchmarkTCPSingleConn sweeps codec × concurrency on one connection.
+// BenchmarkTCPSingleConn sweeps batching × concurrency on one
+// connection.
 func BenchmarkTCPSingleConn(b *testing.B) {
 	for _, workers := range []int{16, 64, 128} {
-		b.Run(fmt.Sprintf("gob/workers=%d", workers), func(b *testing.B) {
-			benchSingleConn(b, workers, WithGobProtocol())
-		})
 		b.Run(fmt.Sprintf("binary_nobatch/workers=%d", workers), func(b *testing.B) {
 			benchSingleConn(b, workers, WithMaxBatch(1))
 		})
@@ -319,7 +312,7 @@ func BenchmarkWireEncodeRequest(b *testing.B) {
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendRequest(buf[:0], &req, wireVersion)
+		buf = appendRequest(buf[:0], &req)
 	}
 	_ = buf
 }
@@ -330,9 +323,8 @@ func BenchmarkWireDecodeResponse(b *testing.B) {
 	buf := appendResponse(nil, &resp)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := wireReader{buf: buf}
 		var got response
-		if err := r.readResponse(&got); err != nil {
+		if err := readResponse(codec.NewReader(buf), &got); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,7 +343,7 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		buf = buf[:0]
 		for i := range reqs {
-			buf = appendRequest(buf, &reqs[i], wireVersion)
+			buf = appendRequest(buf, &reqs[i])
 		}
 		for i := range resps {
 			buf = appendResponse(buf, &resps[i])
@@ -368,13 +360,13 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	}
 	var pcBuf []byte
 	for i := range twoPC {
-		pcBuf = appendRequest(pcBuf, &twoPC[i], wireVersion)
+		pcBuf = appendRequest(pcBuf, &twoPC[i])
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		r := wireReader{buf: pcBuf}
+		r := codec.NewReader(pcBuf)
 		var req request
-		for r.remaining() > 0 {
-			if err := r.readRequest(&req, wireVersion); err != nil {
+		for r.Remaining() > 0 {
+			if err := readRequest(r, &req); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -391,10 +383,10 @@ func TestEncodeZeroAlloc(t *testing.T) {
 		prBuf = appendResponse(prBuf, &pcResps[i])
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		r := wireReader{buf: prBuf}
+		r := codec.NewReader(prBuf)
 		var resp response
-		for r.remaining() > 0 {
-			if err := r.readResponse(&resp); err != nil {
+		for r.Remaining() > 0 {
+			if err := readResponse(r, &resp); err != nil {
 				t.Fatal(err)
 			}
 		}

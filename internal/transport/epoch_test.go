@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,75 +12,66 @@ import (
 	"repdir/internal/rep"
 )
 
-// TestEpochOverTCP exercises the v2 wire epoch end to end: a Status
+// TestEpochOverTCP exercises the wire epoch end to end: a Status
 // probe under WithEpoch fences the remote representative, after which
 // stale-epoch operations fail across the wire with an error that still
 // satisfies errors.Is(err, rep.ErrStaleEpoch), and current-epoch
 // operations proceed.
 func TestEpochOverTCP(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		dial []DialOption
-		srv  []ServerOption
-	}{
-		{name: "binary"},
-		{name: "gob", dial: []DialOption{WithGobProtocol()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			r := rep.New("A")
-			srv, err := Serve(r, "127.0.0.1:0", tc.srv...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), tc.dial...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("binary", func(t *testing.T) {
+		ctx := context.Background()
+		r := rep.New("A")
+		srv, err := Serve(r, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			// Fence the representative at epoch 3 via the Status verb.
-			if _, err := c.Status(rep.WithEpoch(ctx, 3), 0); err != nil {
-				t.Fatalf("status probe: %v", err)
-			}
-			if got := r.Fence(); got != 3 {
-				t.Fatalf("fence = %d after remote Status at epoch 3", got)
-			}
+		// Fence the representative at epoch 3 via the Status verb.
+		if _, err := c.Status(rep.WithEpoch(ctx, 3), 0); err != nil {
+			t.Fatalf("status probe: %v", err)
+		}
+		if got := r.Fence(); got != 3 {
+			t.Fatalf("fence = %d after remote Status at epoch 3", got)
+		}
 
-			// A stale-epoch caller is rejected, identity intact.
-			_, err = c.Lookup(rep.WithEpoch(ctx, 2), 1, keyspace.New("k"))
-			if !errors.Is(err, rep.ErrStaleEpoch) {
-				t.Fatalf("stale lookup = %v, want ErrStaleEpoch", err)
-			}
-			// So is a legacy caller with no epoch at all: mixing old and
-			// new configurations must fail loudly, not silently.
-			if _, err := c.Lookup(ctx, 1, keyspace.New("k")); !errors.Is(err, rep.ErrStaleEpoch) {
-				t.Fatalf("unversioned lookup = %v, want ErrStaleEpoch", err)
-			}
+		// A stale-epoch caller is rejected, identity intact.
+		_, err = c.Lookup(rep.WithEpoch(ctx, 2), 1, keyspace.New("k"))
+		if !errors.Is(err, rep.ErrStaleEpoch) {
+			t.Fatalf("stale lookup = %v, want ErrStaleEpoch", err)
+		}
+		// So is a legacy caller with no epoch at all: mixing old and
+		// new configurations must fail loudly, not silently.
+		if _, err := c.Lookup(ctx, 1, keyspace.New("k")); !errors.Is(err, rep.ErrStaleEpoch) {
+			t.Fatalf("unversioned lookup = %v, want ErrStaleEpoch", err)
+		}
 
-			// Current and newer epochs work (and adopt virally).
-			if _, err := c.Lookup(rep.WithEpoch(ctx, 3), 2, keyspace.New("k")); err != nil {
-				t.Fatalf("current-epoch lookup: %v", err)
-			}
-			if _, err := c.Lookup(rep.WithEpoch(ctx, 5), 3, keyspace.New("k")); err != nil {
-				t.Fatalf("newer-epoch lookup: %v", err)
-			}
-			if got := r.Fence(); got != 5 {
-				t.Fatalf("fence = %d after epoch-5 op", got)
-			}
-			// The bypass epoch is never fenced and never adopts.
-			if _, err := c.Lookup(rep.WithEpoch(ctx, rep.EpochBypass), 4, keyspace.New("k")); err != nil {
-				t.Fatalf("bypass lookup: %v", err)
-			}
-			if got := r.Fence(); got != 5 {
-				t.Fatalf("fence = %d after bypass op, want 5", got)
-			}
-			for txn := 1; txn <= 4; txn++ {
-				_ = r.Abort(ctx, lock.TxnID(txn))
-			}
-		})
-	}
+		// Current and newer epochs work (and adopt virally).
+		if _, err := c.Lookup(rep.WithEpoch(ctx, 3), 2, keyspace.New("k")); err != nil {
+			t.Fatalf("current-epoch lookup: %v", err)
+		}
+		if _, err := c.Lookup(rep.WithEpoch(ctx, 5), 3, keyspace.New("k")); err != nil {
+			t.Fatalf("newer-epoch lookup: %v", err)
+		}
+		if got := r.Fence(); got != 5 {
+			t.Fatalf("fence = %d after epoch-5 op", got)
+		}
+		// The bypass epoch is never fenced and never adopts.
+		if _, err := c.Lookup(rep.WithEpoch(ctx, rep.EpochBypass), 4, keyspace.New("k")); err != nil {
+			t.Fatalf("bypass lookup: %v", err)
+		}
+		if got := r.Fence(); got != 5 {
+			t.Fatalf("fence = %d after bypass op, want 5", got)
+		}
+		for txn := 1; txn <= 4; txn++ {
+			_ = r.Abort(ctx, lock.TxnID(txn))
+		}
+	})
 }
 
 // TestRedialBackoffJitter is the regression test for redial jitter: the
@@ -89,7 +81,7 @@ func TestEpochOverTCP(t *testing.T) {
 // its schedule exactly.
 func TestRedialBackoffJitter(t *testing.T) {
 	schedule := func(seed int64, n int) []time.Duration {
-		c := &Client{rngSeed: seed, seeded: true}
+		c := &Client{rng: rand.New(rand.NewSource(seed))}
 		out := make([]time.Duration, n)
 		c.mu.Lock()
 		for i := range out {

@@ -10,8 +10,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"repdir/internal/codec"
 	"repdir/internal/obs"
 )
 
@@ -215,9 +215,7 @@ func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 // messages enqueued while a write syscall is in flight ride out
 // together in the next frame. Under a single caller every message
 // flushes immediately (no added latency); under concurrent quorum
-// rounds, frames batch up automatically. An optional window makes the
-// flusher linger after the first message of a batch, trading a bounded
-// latency bump for bigger frames.
+// rounds, frames batch up automatically.
 //
 // A failed write permanently breaks the writer: the error is recorded,
 // onErr runs once (tearing down the connection and failing in-flight
@@ -225,8 +223,7 @@ func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 // after a failure, so a partial frame cannot be followed by bytes the
 // peer would misparse.
 type frameWriter struct {
-	w      io.Writer
-	window time.Duration
+	w io.Writer
 	// maxBatch caps messages per frame (0 = unbounded); used to pin
 	// down the unbatched baseline in benchmarks.
 	maxBatch int
@@ -240,8 +237,8 @@ type frameWriter struct {
 	err      error
 }
 
-func newFrameWriter(w io.Writer, window time.Duration, maxBatch int, stats *WireStats, onErr func(error)) *frameWriter {
-	return &frameWriter{w: w, window: window, maxBatch: maxBatch, stats: stats, onErr: onErr}
+func newFrameWriter(w io.Writer, maxBatch int, stats *WireStats, onErr func(error)) *frameWriter {
+	return &frameWriter{w: w, maxBatch: maxBatch, stats: stats, onErr: onErr}
 }
 
 // enqueue appends one message (encoded by fn, which must append
@@ -266,7 +263,7 @@ func (fw *frameWriter) enqueue(fn func([]byte) []byte) error {
 		fw.pending = fw.pending[:0]
 		fw.ends = fw.ends[:0]
 		fw.mu.Unlock()
-		return fmt.Errorf("%w: message exceeds %d-byte frame bound", errWire, maxFrameLen)
+		return fmt.Errorf("%w: message exceeds %d-byte frame bound", codec.ErrCodec, maxFrameLen)
 	}
 	if fw.flushing {
 		// The active flusher will pick this message up; its write
@@ -277,9 +274,7 @@ func (fw *frameWriter) enqueue(fn func([]byte) []byte) error {
 	}
 	fw.flushing = true
 	fw.mu.Unlock()
-	if fw.window > 0 {
-		time.Sleep(fw.window)
-	} else if fw.maxBatch != 1 {
+	if fw.maxBatch != 1 {
 		// Group-commit heuristic: yield once before writing, so
 		// runnable peers (quorum-round goroutines mid-send, handlers
 		// finishing together) get to enqueue into this frame. With an
@@ -378,7 +373,7 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, err
 	}
 	if n == 0 || n > maxFrameLen {
-		return nil, fmt.Errorf("%w: frame length %d out of range", errWire, n)
+		return nil, fmt.Errorf("%w: frame length %d out of range", codec.ErrCodec, n)
 	}
 	buf := getFrameBuf()
 	if cap(buf) < int(n) {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repdir/internal/codec"
 	"repdir/internal/keyspace"
 	"repdir/internal/rep"
 	"repdir/internal/version"
@@ -36,14 +37,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tag uint8, id, txn uint64, keyKind uint8, keyS string,
 		hiKind uint8, hiS string, ver uint64, value string, count int, codeByte uint8, msg string, raw []byte) {
 
-		// Structured round trip: a valid request of every op, at both
-		// codec versions (epoch rides the v2 header only).
-		wver := byte(tag%2) + 1
+		// Structured round trip: a valid request of every op.
 		reqOp := op(tag%12) + 1
-		req := request{ID: id, Op: reqOp, Txn: txn}
-		if wver >= 2 {
-			req.Epoch = id ^ txn
-		}
+		req := request{ID: id, Op: reqOp, Txn: txn, Epoch: id ^ txn, Deadline: ver ^ id}
 		switch reqOp {
 		case opLookup, opPredecessor, opSuccessor:
 			req.Key = fuzzKey(keyKind, keyS)
@@ -62,17 +58,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			req.Hi = fuzzKey(hiKind, hiS)
 			req.Version = version.V(ver)
 		}
-		encReq := appendRequest(nil, &req, wver)
-		r := wireReader{buf: encReq}
+		encReq := appendRequest(nil, &req)
+		r := codec.NewReader(encReq)
 		var gotReq request
-		if err := r.readRequest(&gotReq, wver); err != nil {
+		if err := readRequest(r, &gotReq); err != nil {
 			t.Fatalf("valid request %+v failed to decode: %v", req, err)
 		}
 		if !reflect.DeepEqual(gotReq, req) {
 			t.Fatalf("request round trip:\n got  %+v\n want %+v", gotReq, req)
 		}
-		if r.remaining() != 0 {
-			t.Fatalf("request decode left %d bytes", r.remaining())
+		if r.Remaining() != 0 {
+			t.Fatalf("request decode left %d bytes", r.Remaining())
 		}
 
 		// Structured round trip: a response for the same op, OK or error.
@@ -109,9 +105,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 		encResp := appendResponse(nil, &resp)
-		r = wireReader{buf: encResp}
 		var gotResp response
-		if err := r.readResponse(&gotResp); err != nil {
+		if err := readResponse(codec.NewReader(encResp), &gotResp); err != nil {
 			t.Fatalf("valid response %+v failed to decode: %v", resp, err)
 		}
 		if !reflect.DeepEqual(gotResp, resp) {
@@ -120,7 +115,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		// Re-encoding the decoded message must be byte-identical
 		// (canonical encoding — no two spellings of one message).
-		if re := appendRequest(nil, &gotReq, wver); !bytes.Equal(re, encReq) {
+		if re := appendRequest(nil, &gotReq); !bytes.Equal(re, encReq) {
 			t.Fatalf("request re-encode differs:\n got  %#v\n want %#v", re, encReq)
 		}
 		if re := appendResponse(nil, &gotResp); !bytes.Equal(re, encResp) {
@@ -130,19 +125,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Adversarial half: arbitrary bytes must error or decode, never
 		// panic. Decode repeatedly to walk multi-message framings.
 		for _, buf := range [][]byte{raw, encReq, encResp} {
-			for _, dv := range []byte{1, 2} {
-				r := wireReader{buf: buf}
-				for r.remaining() > 0 {
-					var rq request
-					if err := r.readRequest(&rq, dv); err != nil {
-						break
-					}
+			r := codec.NewReader(buf)
+			for r.Remaining() > 0 {
+				var rq request
+				if err := readRequest(r, &rq); err != nil {
+					break
 				}
 			}
-			r := wireReader{buf: buf}
-			for r.remaining() > 0 {
+			r = codec.NewReader(buf)
+			for r.Remaining() > 0 {
 				var rs response
-				if err := r.readResponse(&rs); err != nil {
+				if err := readResponse(r, &rs); err != nil {
 					break
 				}
 			}

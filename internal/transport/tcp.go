@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repdir/internal/codec"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/rep"
@@ -38,12 +38,6 @@ const (
 	opName
 )
 
-// Protocol names, as reported by Client.Protocol.
-const (
-	ProtoBinary = "binary"
-	ProtoGob    = "gob"
-)
-
 // request is the single wire request shape. ID matches the request to
 // its response: the connection is multiplexed, so responses may return
 // in any order.
@@ -53,9 +47,9 @@ type request struct {
 	Txn   uint64
 	Epoch uint64
 	// Deadline is the client's remaining context budget in microseconds
-	// at send time (0 = no deadline). Carried by gob and v3-binary
-	// peers; the server turns it into a per-request context and
-	// fast-rejects work it cannot finish in time.
+	// at send time (0 = no deadline). The server turns it into a
+	// per-request context and fast-rejects work it cannot finish in
+	// time.
 	Deadline uint64
 	Key      keyspace.Key
 	Hi       keyspace.Key
@@ -63,16 +57,15 @@ type request struct {
 	Value    string
 	Count    int
 
-	// Server-side bookkeeping, never on the wire (gob skips unexported
-	// fields; the binary codec is explicit): when the request was
+	// Server-side bookkeeping, never on the wire: when the request was
 	// decoded, and the absolute deadline its budget implies.
 	arrived time.Time
 	expires time.Time
 }
 
 // response is the single wire response shape. ID echoes the request it
-// answers; Op echoes the request op so the binary decoder knows which
-// result fields follow (gob carries field names and ignores it).
+// answers; Op echoes the request op so the decoder knows which result
+// fields follow.
 type response struct {
 	ID          uint64
 	Op          op
@@ -164,26 +157,13 @@ func WithDispatchQueue(n int) ServerOption {
 	}
 }
 
-// WithGobOnly makes the server behave like a pre-codec build: every
-// connection is served with gob and a binary preamble is rejected (the
-// gob decoder chokes on it and the connection closes), which is exactly
-// what a new client negotiating against an old server experiences. Used
-// by the mixed-version tests and available for staged rollbacks.
-func WithGobOnly() ServerOption {
-	return func(s *Server) { s.gobOnly = true }
-}
-
 // Server exposes one representative over TCP. Each connection has one
 // decode loop, but every request is dispatched to its own goroutine
 // (bounded by the per-connection concurrency limit), so a request stuck
 // waiting for a lock does not head-of-line-block later requests on the
-// same connection. Responses are matched to requests by ID; on the
-// binary protocol they group-commit through a frameWriter, on gob they
-// serialize through a per-connection write mutex.
-//
-// Protocol selection is per connection: a connection whose first byte
-// is the binary preamble speaks the binary codec, anything else is
-// served with gob (see wire.go for the preamble rationale).
+// same connection. Responses are matched to requests by ID and
+// group-commit through a frameWriter. A connection whose preamble does
+// not offer exactly wireVersion is closed (see wire.go).
 type Server struct {
 	dir rep.Directory
 	ln  net.Listener
@@ -205,9 +185,7 @@ type Server struct {
 	queueSet   bool
 	// admit is the overload-shedding controller (disabled by default).
 	admit admitState
-	// gobOnly disables the binary codec (legacy-server mode).
-	gobOnly bool
-	// stats aggregates binary-codec frame traffic across connections.
+	// stats aggregates frame traffic across connections.
 	stats WireStats
 
 	// Shared per-op deadline context, refreshed coarsely (see opCtx).
@@ -245,8 +223,7 @@ func Serve(dir rep.Directory, addr string, opts ...ServerOption) (*Server, error
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// WireStats returns the server's binary-codec traffic counters. Gob
-// connections do not contribute.
+// WireStats returns the server's frame traffic counters.
 func (s *Server) WireStats() *WireStats { return &s.stats }
 
 // AdmissionStats returns the admission controller's counters (all zero
@@ -298,8 +275,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the protocol from the connection's first byte and
-// runs the matching serve loop.
+// serveConn checks the connection's preamble, echoes it, and serves
+// frames until the connection dies.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -309,39 +286,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	if !s.gobOnly {
-		first, err := br.Peek(1)
-		if err != nil {
-			return
-		}
-		if first[0] == preambleByte {
-			s.serveConnBinary(conn, br)
-			return
-		}
+	var pre [2]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != [2]byte{preambleByte, wireVersion} {
+		return
 	}
-	s.serveConnGob(conn, br)
+	if _, err := conn.Write(pre[:]); err != nil {
+		return
+	}
+	s.serveFrames(conn, br)
 }
 
-// serveConnBinary answers the preamble and then decodes multi-message
-// frames, dispatching each request to its own bounded goroutine.
-// Responses group-commit through a frameWriter, so replies to a batch
-// of concurrent requests coalesce into few frames.
-func (s *Server) serveConnBinary(conn net.Conn, br *bufio.Reader) {
-	var pre [2]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil || pre[1] == 0 {
-		return
-	}
-	ver := pre[1]
-	if ver > wireVersion {
-		ver = wireVersion
-	}
-	if _, err := conn.Write([]byte{preambleByte, ver}); err != nil {
-		return
-	}
+// serveFrames decodes multi-message request frames, dispatching each
+// request to a bounded worker pool. Responses group-commit through a
+// frameWriter, so replies to a batch of concurrent requests coalesce
+// into few frames.
+func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 	// A failed response write leaves the stream corrupt mid-frame; close
 	// the connection so the client's in-flight calls fail fast instead
 	// of waiting out their timeouts.
-	fw := newFrameWriter(conn, 0, 0, &s.stats, func(error) { conn.Close() })
+	fw := newFrameWriter(conn, 0, &s.stats, func(error) { conn.Close() })
 	// Long-lived worker pool: a channel handoff costs a fraction of a
 	// goroutine spawn, and the pool size is the same per-connection
 	// concurrency bound the sem used to enforce — when every worker is
@@ -371,11 +334,11 @@ func (s *Server) serveConnBinary(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		r := wireReader{buf: buf}
+		r := codec.NewReader(buf)
 		msgs := 0
-		for r.remaining() > 0 {
+		for r.Remaining() > 0 {
 			var req request
-			if err := r.readRequest(&req, ver); err != nil {
+			if err := readRequest(r, &req); err != nil {
 				putFrameBuf(buf)
 				return
 			}
@@ -384,45 +347,6 @@ func (s *Server) serveConnBinary(conn net.Conn, br *bufio.Reader) {
 		}
 		s.stats.noteRecv(len(buf), msgs)
 		putFrameBuf(buf)
-	}
-}
-
-// serveConnGob is the legacy per-message gob loop.
-func (s *Server) serveConnGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex
-	work := make(chan request, s.queueDepth)
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	defer close(work)
-	reply := func(resp response) {
-		wmu.Lock()
-		err := enc.Encode(resp)
-		wmu.Unlock()
-		if err != nil {
-			// A failed encode poisons the shared gob stream: every
-			// later response would hit a corrupt encoder state and
-			// the client would hang until its call timeouts. Close
-			// the connection so in-flight calls fail fast.
-			conn.Close()
-		}
-	}
-	for i := 0; i < s.perConn; i++ {
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			for req := range work {
-				reply(s.dispatch(&req))
-			}
-		}()
-	}
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		s.offer(req, work, reply)
 	}
 }
 
@@ -534,13 +458,13 @@ func (s *Server) handle(req *request) response {
 		ctx, cancel = context.WithDeadline(context.Background(), limit)
 		defer cancel()
 	} else {
-		// No propagated deadline (legacy peer, or client context without
-		// one): the shared coarse call-timeout context.
+		// No propagated deadline (the client's context has none): the
+		// shared coarse call-timeout context.
 		ctx = s.opCtx()
 	}
 	// Restore the caller's configuration epoch so the representative can
-	// fence stale-epoch operations (a v1 or gob peer sends no epoch,
-	// which the rep treats as a legacy unversioned caller).
+	// fence stale-epoch operations (epoch 0 marks an unversioned caller,
+	// which the rep treats as legacy).
 	if req.Epoch != 0 {
 		ctx = rep.WithEpoch(ctx, req.Epoch)
 	}
@@ -607,24 +531,13 @@ type callResult struct {
 	err  error
 }
 
-// clientConn is one live multiplexed connection speaking one protocol:
-// binary (requests group-commit through a frameWriter) or gob (a shared
-// encoder guarded by a write mutex). Either way, an in-flight table maps
-// request IDs to the channels of the callers awaiting their responses,
-// and a single reader goroutine (readLoop) demultiplexes responses by
-// ID.
+// clientConn is one live multiplexed connection. Requests group-commit
+// through a frameWriter; an in-flight table maps request IDs to the
+// channels of the callers awaiting their responses, and a single reader
+// goroutine (readLoop) demultiplexes responses by ID.
 type clientConn struct {
 	conn  net.Conn
-	proto string
-	// ver is the negotiated binary codec version (0 on gob).
-	ver byte
-
-	// Binary protocol: the group-commit frame writer.
-	fw *frameWriter
-	// Gob protocol: shared encoder behind a write mutex.
-	enc *gob.Encoder
-	wmu sync.Mutex
-
+	fw    *frameWriter
 	stats *WireStats
 
 	imu      sync.Mutex
@@ -632,36 +545,22 @@ type clientConn struct {
 	broken   bool
 }
 
-func newClientConn(conn net.Conn, proto string, ver byte, addr string, window time.Duration, maxBatch int, stats *WireStats) *clientConn {
+func newClientConn(conn net.Conn, addr string, maxBatch int, stats *WireStats) *clientConn {
 	cc := &clientConn{
 		conn:     conn,
-		proto:    proto,
-		ver:      ver,
 		stats:    stats,
 		inflight: make(map[uint64]chan callResult),
 	}
-	if proto == ProtoBinary {
-		cc.fw = newFrameWriter(conn, window, maxBatch, stats, func(err error) {
-			cc.fail(fmt.Errorf("%w: send to %s: %v", ErrUnavailable, addr, err))
-		})
-	} else {
-		cc.enc = gob.NewEncoder(conn)
-	}
+	cc.fw = newFrameWriter(conn, maxBatch, stats, func(err error) {
+		cc.fail(fmt.Errorf("%w: send to %s: %v", ErrUnavailable, addr, err))
+	})
 	return cc
 }
 
-// send writes one request on the connection's protocol. On the binary
-// path a write failure tears the connection down via the frameWriter's
-// error hook; on gob the caller must do it (a failed encode poisons the
-// shared stream either way).
+// send writes one request. A write failure tears the connection down
+// via the frameWriter's error hook.
 func (cc *clientConn) send(req *request) error {
-	if cc.fw != nil {
-		return cc.fw.enqueue(func(b []byte) []byte { return appendRequest(b, req, cc.ver) })
-	}
-	cc.wmu.Lock()
-	err := cc.enc.Encode(req)
-	cc.wmu.Unlock()
-	return err
+	return cc.fw.enqueue(func(b []byte) []byte { return appendRequest(b, req) })
 }
 
 // register claims an ID slot; it fails if the connection already broke.
@@ -719,27 +618,10 @@ func (cc *clientConn) isBroken() bool {
 	return cc.broken
 }
 
-// readLoop decodes responses and hands each to its caller until the
-// connection dies, then fails whatever is still in flight.
+// readLoop reads response frames, decoding each message and handing
+// it to its caller, until the connection dies; then it fails whatever
+// is still in flight.
 func (cc *clientConn) readLoop(addr string) {
-	if cc.proto == ProtoBinary {
-		cc.readLoopBinary(addr)
-		return
-	}
-	dec := gob.NewDecoder(cc.conn)
-	for {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
-			cc.fail(fmt.Errorf("%w: receive from %s: %v", ErrUnavailable, addr, err))
-			return
-		}
-		cc.complete(resp)
-	}
-}
-
-// readLoopBinary reads response frames, decoding and demuxing every
-// message in each.
-func (cc *clientConn) readLoopBinary(addr string) {
 	br := bufio.NewReaderSize(cc.conn, 64<<10)
 	for {
 		buf, err := readFrame(br)
@@ -747,11 +629,11 @@ func (cc *clientConn) readLoopBinary(addr string) {
 			cc.fail(fmt.Errorf("%w: receive from %s: %v", ErrUnavailable, addr, err))
 			return
 		}
-		r := wireReader{buf: buf}
+		r := codec.NewReader(buf)
 		msgs := 0
-		for r.remaining() > 0 {
+		for r.Remaining() > 0 {
 			var resp response
-			if err := r.readResponse(&resp); err != nil {
+			if err := readResponse(r, &resp); err != nil {
 				putFrameBuf(buf)
 				cc.fail(fmt.Errorf("%w: receive from %s: %v", ErrUnavailable, addr, err))
 				return
@@ -766,36 +648,6 @@ func (cc *clientConn) readLoopBinary(addr string) {
 
 // DialOption configures Dial.
 type DialOption func(*Client)
-
-// WithGobProtocol pins the client to the legacy gob codec, skipping the
-// binary preamble entirely — what a pre-codec client build does. Used by
-// the mixed-version tests and the gob benchmark baselines.
-func WithGobProtocol() DialOption {
-	return func(c *Client) { c.gobOnly = true }
-}
-
-// WithBatchWindow makes the flush leader linger for d after picking up
-// a batch, letting more concurrent requests coalesce into the same
-// frame at the cost of up to d of added latency. The default (0) adds
-// no latency: batching then comes only from requests arriving while a
-// write syscall is in flight.
-func WithBatchWindow(d time.Duration) DialOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.window = d
-		}
-	}
-}
-
-// WithRedialSeed pins the redial-jitter RNG seed, for deterministic
-// simulations and tests. Without it each client seeds from the clock —
-// distinct seeds are the whole point of the jitter.
-func WithRedialSeed(seed int64) DialOption {
-	return func(c *Client) {
-		c.rngSeed = seed
-		c.seeded = true
-	}
-}
 
 // WithMaxBatch caps how many requests coalesce into one frame
 // (0 = unbounded). WithMaxBatch(1) pins every request to its own frame,
@@ -817,33 +669,25 @@ func WithMaxBatch(n int) DialOption {
 // an abandoned call's late response is simply discarded. A broken
 // connection fails all in-flight calls with ErrUnavailable and is
 // redialed on the next call, with exponential backoff between failed
-// dial attempts.
-//
-// A new connection offers the binary codec via a one-byte preamble; a
-// server that rejects it (a pre-codec build) makes the client downgrade
-// to gob, remember the choice, and redial — so mixed-version pairs
-// interoperate in both directions (see wire.go).
+// dial attempts. A server that does not answer the preamble with
+// exactly wireVersion counts as a failed dial (see wire.go).
 type Client struct {
 	addr   string
 	nextID atomic.Uint64
 
-	// window and maxBatch tune the frameWriter; gobOnly pins the legacy
-	// codec (set by option, or stickily after a failed negotiation).
-	window   time.Duration
+	// maxBatch tunes the frameWriter.
 	maxBatch int
 	stats    WireStats
 
 	mu       sync.Mutex
-	gobOnly  bool
 	cc       *clientConn
 	dialing  chan struct{}
 	nextDial time.Time
 	wait     time.Duration
 	name     string
-	// rng jitters redial backoff (guarded by mu; lazily seeded).
-	rng     *rand.Rand
-	rngSeed int64
-	seeded  bool
+	// rng jitters redial backoff (guarded by mu; lazily seeded from the
+	// clock, so clients that lost the same server spread out).
+	rng *rand.Rand
 }
 
 var _ rep.Directory = (*Client)(nil)
@@ -864,22 +708,8 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	return c, nil
 }
 
-// Protocol reports the wire codec in use: ProtoBinary or ProtoGob. With
-// no live connection it reports what the next dial will offer.
-func (c *Client) Protocol() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cc != nil {
-		return c.cc.proto
-	}
-	if c.gobOnly {
-		return ProtoGob
-	}
-	return ProtoBinary
-}
-
-// WireStats returns the client's binary-codec traffic counters,
-// accumulated across redials. Gob connections do not contribute.
+// WireStats returns the client's frame traffic counters, accumulated
+// across redials.
 func (c *Client) WireStats() *WireStats { return &c.stats }
 
 // Close drops the connection, failing any in-flight calls with
@@ -910,11 +740,7 @@ func (c *Client) advanceBackoff() time.Duration {
 		}
 	}
 	if c.rng == nil {
-		seed := c.rngSeed
-		if !c.seeded {
-			seed = time.Now().UnixNano()
-		}
-		c.rng = rand.New(rand.NewSource(seed))
+		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
 	half := c.wait / 2
 	return half + time.Duration(c.rng.Int63n(int64(half)))
@@ -930,41 +756,34 @@ func (c *Client) dropConn(cc *clientConn) {
 	c.mu.Unlock()
 }
 
-// dialAndNegotiate dials and, unless the client is pinned to gob,
-// offers the binary codec. A server that answers the preamble gets a
-// binary connection; one that closes instead (a pre-codec build whose
-// gob decoder choked on the preamble) triggers a sticky downgrade: the
-// client remembers gob and redials speaking it. A wrong downgrade — a
-// flaky network eating the reply — costs only performance, because
-// every new server still serves gob connections.
-func (c *Client) dialAndNegotiate(ctx context.Context, useGob bool) (net.Conn, string, byte, error) {
+// dial connects and exchanges preambles. A server that closes the
+// connection, stays silent past negotiateTimeout, or answers with
+// anything but wireVersion fails the dial; the caller backs off and
+// redials, never switching codec.
+func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", c.addr)
-	if err != nil || useGob {
-		return conn, ProtoGob, 0, err
+	if err != nil {
+		return nil, err
 	}
 	deadline := time.Now().Add(negotiateTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	_ = conn.SetDeadline(deadline)
+	want := [2]byte{preambleByte, wireVersion}
 	var reply [2]byte
-	if _, err := conn.Write([]byte{preambleByte, wireVersion}); err == nil {
+	if _, err = conn.Write(want[:]); err == nil {
 		_, err = io.ReadFull(conn, reply[:])
 	}
-	if err != nil || reply[0] != preambleByte || reply[1] == 0 || reply[1] > wireVersion {
+	if err == nil && reply != want {
+		err = fmt.Errorf("server answered preamble %x, want %x", reply, want)
+	}
+	if err != nil {
 		conn.Close()
-		if ctx.Err() != nil {
-			return nil, "", 0, ctx.Err()
-		}
-		c.mu.Lock()
-		c.gobOnly = true
-		c.mu.Unlock()
-		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", c.addr)
-		return conn, ProtoGob, 0, err
+		return nil, fmt.Errorf("negotiate: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	// The server echoed min(our offer, its max): both sides speak that.
-	return conn, ProtoBinary, reply[1], nil
+	return conn, nil
 }
 
 // ensureConn returns a live connection, dialing when needed. Exactly one
@@ -1006,9 +825,8 @@ func (c *Client) ensureConn(ctx context.Context) (*clientConn, error) {
 			continue
 		}
 		c.dialing = make(chan struct{})
-		useGob := c.gobOnly
 		c.mu.Unlock()
-		conn, proto, ver, err := c.dialAndNegotiate(ctx, useGob)
+		conn, err := c.dial(ctx)
 		c.mu.Lock()
 		close(c.dialing)
 		c.dialing = nil
@@ -1019,7 +837,7 @@ func (c *Client) ensureConn(ctx context.Context) (*clientConn, error) {
 		}
 		c.wait = 0
 		c.nextDial = time.Time{}
-		cc := newClientConn(conn, proto, ver, c.addr, c.window, c.maxBatch, &c.stats)
+		cc := newClientConn(conn, c.addr, c.maxBatch, &c.stats)
 		c.cc = cc
 		go func() {
 			cc.readLoop(c.addr)
@@ -1043,9 +861,7 @@ var resultChanPool = sync.Pool{
 // its own response or its own context.
 func (c *Client) call(ctx context.Context, req request) (response, error) {
 	// Carry the caller's configuration epoch across the wire so the
-	// remote representative can fence stale epochs. Gob and v2-binary
-	// peers both transmit it; a v1 server simply never sees it (it is
-	// an old build with nothing to fence against).
+	// remote representative can fence stale epochs.
 	req.Epoch = rep.EpochFromContext(ctx)
 	for attempt := 0; ; attempt++ {
 		cc, err := c.ensureConn(ctx)
@@ -1054,8 +870,7 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 		}
 		// Propagate the remaining deadline budget (µs) so the server can
 		// fast-reject work this caller will no longer wait for. Stamped
-		// per attempt: a redial consumed part of the budget. Gob and
-		// v3-binary peers carry the field; older servers never see it.
+		// per attempt: a redial consumed part of the budget.
 		if d, ok := ctx.Deadline(); ok {
 			rem := time.Until(d)
 			if rem <= 0 {
@@ -1079,13 +894,8 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 		}
 		if err := cc.send(&req); err != nil {
 			cc.unregister(req.ID)
-			if cc.proto == ProtoGob {
-				// A failed write poisons the gob stream for every user of
-				// the connection, not just this call. (The binary path's
-				// frameWriter already tore the connection down, unless the
-				// failure was local to this one message.)
-				cc.fail(fmt.Errorf("%w: send to %s: %v", ErrUnavailable, c.addr, err))
-			}
+			// The frameWriter already tore the connection down, unless
+			// the failure was local to this one message.
 			if cc.isBroken() {
 				c.dropConn(cc)
 			}

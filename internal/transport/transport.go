@@ -7,8 +7,9 @@
 //
 //   - Local: a direct in-process hop with optional fault injection
 //     (crashed replica, added latency), used by simulations and tests.
-//   - Client/Server: a TCP transport carrying gob-encoded requests, used
-//     by the cmd/repdir-server and cmd/repdir-cli executables.
+//   - Client/Server: a multiplexed TCP transport carrying the binary
+//     wire codec (wire.go), used by the cmd/repdir-server and
+//     cmd/repdir-cli executables.
 //
 // Errors that the replication algorithm reacts to (wait-die aborts,
 // unavailable replicas, missing coalesce bounds) are mapped to wire codes
@@ -59,15 +60,10 @@ const (
 	codeUnknownTxn
 	codeRecovering
 	codeOther
-	// codeStaleEpoch arrived with wire v2 (epoch fencing); appended
-	// after codeOther so existing code values never change. An old
-	// client maps it through the default branch to an opaque error,
-	// which is right: it has no epoch machinery to react with.
+	// Codes after codeOther were appended later (epoch fencing, then
+	// deadline propagation and admission control), so existing code
+	// values never change.
 	codeStaleEpoch
-	// codeExpired and codeOverloaded arrived with wire v3 (deadline
-	// propagation and admission control), appended for the same reason.
-	// An old client sees them as opaque errors and does not retry,
-	// which is exactly the conservative behavior overload needs.
 	codeExpired
 	codeOverloaded
 )

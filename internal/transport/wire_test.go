@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repdir/internal/codec"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/rep"
@@ -21,89 +22,12 @@ import (
 // TestWireGoldenVectors pins the binary encoding byte-for-byte. These
 // vectors are the on-wire contract: if one of them changes, old and new
 // builds can no longer talk, so a failure here means "bump the wire
-// version", never "update the expected bytes".
+// version", never "update the expected bytes". Request vectors carry
+// the version in their names.
 func TestWireGoldenVectors(t *testing.T) {
+	// The request header is tag, id, txn, epoch, deadline budget
+	// (microseconds, 0 = none); op fields follow.
 	reqVectors := []struct {
-		name string
-		req  request
-		want []byte
-	}{
-		{
-			name: "lookup",
-			req:  request{ID: 7, Op: opLookup, Txn: 9, Key: keyspace.New("k")},
-			want: []byte{0x01, 0x07, 0x09, 0x02, 0x01, 'k'},
-		},
-		{
-			name: "successor_batch",
-			req:  request{ID: 1, Op: opSuccessorBatch, Txn: 2, Key: keyspace.Low(), Count: 5},
-			want: []byte{0x05, 0x01, 0x02, 0x01, 0x05},
-		},
-		{
-			name: "insert",
-			req:  request{ID: 1, Op: opInsert, Txn: 2, Key: keyspace.New("ab"), Version: 3, Value: "xyz"},
-			want: []byte{0x06, 0x01, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
-		},
-		{
-			name: "coalesce_full_range",
-			req:  request{ID: 1, Op: opCoalesce, Txn: 2, Key: keyspace.Low(), Hi: keyspace.High(), Version: 5},
-			want: []byte{0x07, 0x01, 0x02, 0x01, 0x03, 0x05},
-		},
-		{
-			name: "prepare",
-			req:  request{ID: 200, Op: opPrepare, Txn: 300},
-			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02},
-		},
-	}
-	for _, v := range reqVectors {
-		t.Run("request_v1_"+v.name, func(t *testing.T) {
-			got := appendRequest(nil, &v.req, 1)
-			if !bytes.Equal(got, v.want) {
-				t.Fatalf("encoding drifted:\n got  %#v\n want %#v", got, v.want)
-			}
-		})
-	}
-
-	// Version 2 adds the epoch uvarint after the txn in the request
-	// header; everything else is the v1 layout.
-	reqV2Vectors := []struct {
-		name string
-		req  request
-		want []byte
-	}{
-		{
-			name: "lookup_epoch",
-			req:  request{ID: 7, Op: opLookup, Txn: 9, Epoch: 5, Key: keyspace.New("k")},
-			want: []byte{0x01, 0x07, 0x09, 0x05, 0x02, 0x01, 'k'},
-		},
-		{
-			name: "lookup_no_epoch",
-			req:  request{ID: 7, Op: opLookup, Txn: 9, Key: keyspace.New("k")},
-			want: []byte{0x01, 0x07, 0x09, 0x00, 0x02, 0x01, 'k'},
-		},
-		{
-			name: "insert_big_epoch",
-			req:  request{ID: 1, Op: opInsert, Txn: 2, Epoch: 300, Key: keyspace.New("ab"), Version: 3, Value: "xyz"},
-			want: []byte{0x06, 0x01, 0x02, 0xac, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
-		},
-		{
-			name: "status_bypass_epoch",
-			req:  request{ID: 1, Op: opStatus, Txn: 0, Epoch: ^uint64(0)},
-			want: []byte{0x0b, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		},
-	}
-	for _, v := range reqV2Vectors {
-		t.Run("request_v2_"+v.name, func(t *testing.T) {
-			got := appendRequest(nil, &v.req, 2)
-			if !bytes.Equal(got, v.want) {
-				t.Fatalf("encoding drifted:\n got  %#v\n want %#v", got, v.want)
-			}
-		})
-	}
-
-	// Version 3 adds the remaining-deadline-budget uvarint (microseconds,
-	// 0 = none) after the epoch in the request header; everything else is
-	// the v2 layout.
-	reqV3Vectors := []struct {
 		name string
 		req  request
 		want []byte
@@ -124,9 +48,9 @@ func TestWireGoldenVectors(t *testing.T) {
 			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02, 0x00, 0x01},
 		},
 	}
-	for _, v := range reqV3Vectors {
+	for _, v := range reqVectors {
 		t.Run("request_v3_"+v.name, func(t *testing.T) {
-			got := appendRequest(nil, &v.req, 3)
+			got := appendRequest(nil, &v.req)
 			if !bytes.Equal(got, v.want) {
 				t.Fatalf("encoding drifted:\n got  %#v\n want %#v", got, v.want)
 			}
@@ -215,54 +139,46 @@ func wireResponseVariants() []response {
 // TestWireRoundTrip encodes and decodes every request and response
 // variant, alone and coalesced into one frame.
 func TestWireRoundTrip(t *testing.T) {
-	for _, ver := range []byte{1, 2, 3} {
-		reqs := wireRequestVariants()
-		if ver >= 2 {
-			for i := range reqs {
-				reqs[i].Epoch = uint64(i * 3)
-			}
+	reqs := wireRequestVariants()
+	for i := range reqs {
+		reqs[i].Epoch = uint64(i * 3)
+		reqs[i].Deadline = uint64(i * 50_000)
+	}
+	var buf []byte
+	for i := range reqs {
+		buf = appendRequest(buf, &reqs[i])
+	}
+	r := codec.NewReader(buf)
+	for i := range reqs {
+		var got request
+		if err := readRequest(r, &got); err != nil {
+			t.Fatalf("request %d (%v): %v", i, reqs[i].Op, err)
 		}
-		if ver >= 3 {
-			for i := range reqs {
-				reqs[i].Deadline = uint64(i * 50_000)
-			}
+		if !reflect.DeepEqual(got, reqs[i]) {
+			t.Fatalf("request round-trip mismatch:\n got  %+v\n want %+v", got, reqs[i])
 		}
-		var buf []byte
-		for i := range reqs {
-			buf = appendRequest(buf, &reqs[i], ver)
-		}
-		r := wireReader{buf: buf}
-		for i := range reqs {
-			var got request
-			if err := r.readRequest(&got, ver); err != nil {
-				t.Fatalf("v%d request %d (%v): %v", ver, i, reqs[i].Op, err)
-			}
-			if !reflect.DeepEqual(got, reqs[i]) {
-				t.Fatalf("v%d request round-trip mismatch:\n got  %+v\n want %+v", ver, got, reqs[i])
-			}
-		}
-		if r.remaining() != 0 {
-			t.Fatalf("v%d: %d bytes left over after decoding all requests", ver, r.remaining())
-		}
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left over after decoding all requests", r.Remaining())
 	}
 
 	resps := wireResponseVariants()
-	var buf []byte
+	buf = nil
 	for i := range resps {
 		buf = appendResponse(buf, &resps[i])
 	}
-	r := wireReader{buf: buf}
+	r = codec.NewReader(buf)
 	for i := range resps {
 		var got response
-		if err := r.readResponse(&got); err != nil {
+		if err := readResponse(r, &got); err != nil {
 			t.Fatalf("response %d (%v): %v", i, resps[i].Op, err)
 		}
 		if !reflect.DeepEqual(got, resps[i]) {
 			t.Fatalf("response round-trip mismatch:\n got  %+v\n want %+v", got, resps[i])
 		}
 	}
-	if r.remaining() != 0 {
-		t.Fatalf("%d bytes left over after decoding all responses", r.remaining())
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left over after decoding all responses", r.Remaining())
 	}
 }
 
@@ -270,15 +186,12 @@ func TestWireRoundTrip(t *testing.T) {
 // decoders: each must error cleanly, never panic or read out of bounds.
 func TestWireTruncatedInputs(t *testing.T) {
 	reqs := wireRequestVariants()
-	for _, ver := range []byte{1, 2, 3} {
-		for i := range reqs {
-			full := appendRequest(nil, &reqs[i], ver)
-			for n := 0; n < len(full); n++ {
-				r := wireReader{buf: full[:n]}
-				var got request
-				if err := r.readRequest(&got, ver); err == nil {
-					t.Fatalf("v%d request %v truncated to %d/%d bytes decoded without error", ver, reqs[i].Op, n, len(full))
-				}
+	for i := range reqs {
+		full := appendRequest(nil, &reqs[i])
+		for n := 0; n < len(full); n++ {
+			var got request
+			if err := readRequest(codec.NewReader(full[:n]), &got); err == nil {
+				t.Fatalf("request %v truncated to %d/%d bytes decoded without error", reqs[i].Op, n, len(full))
 			}
 		}
 	}
@@ -286,100 +199,120 @@ func TestWireTruncatedInputs(t *testing.T) {
 	for i := range resps {
 		full := appendResponse(nil, &resps[i])
 		for n := 0; n < len(full); n++ {
-			r := wireReader{buf: full[:n]}
 			var got response
-			if err := r.readResponse(&got); err == nil {
+			if err := readResponse(codec.NewReader(full[:n]), &got); err == nil {
 				t.Fatalf("response %v truncated to %d/%d bytes decoded without error", resps[i].Op, n, len(full))
 			}
 		}
 	}
 }
 
-// TestProtocolNegotiation covers the mixed-version matrix: new client ↔
-// new server speaks binary; a pinned-gob client against a new server
-// and a new client against a gob-only (legacy) server both land on gob
-// and still serve calls.
+// TestProtocolNegotiation covers the preamble exchange. A matching
+// server carries traffic; a server that closes the connection after
+// the client's preamble (what a pre-codec build does) or answers with
+// another wire version fails the call with ErrUnavailable, and the
+// client's redial offers the same preamble again — there is no other
+// codec to fall back to.
 func TestProtocolNegotiation(t *testing.T) {
-	cases := []struct {
-		name      string
-		srvOpts   []ServerOption
-		dialOpts  []DialOption
-		wantProto string
+	t.Run("binary_binary", func(t *testing.T) {
+		srv, err := Serve(rep.New("nego"), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Insert(ctx, 1, keyspace.New("k"), 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Commit(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Lookup(ctx, 2, keyspace.New("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found || res.Value != "v" {
+			t.Fatalf("lookup = %+v, want found v", res)
+		}
+		c.Abort(ctx, 2)
+		if sent := c.WireStats().Sent(); sent.Frames == 0 || sent.Msgs == 0 {
+			t.Fatalf("connection recorded no wire traffic: %+v", sent)
+		}
+	})
+	for _, tc := range []struct {
+		name  string
+		reply []byte // nil: close without answering
 	}{
-		{"binary_binary", nil, nil, ProtoBinary},
-		{"gob_client_new_server", nil, []DialOption{WithGobProtocol()}, ProtoGob},
-		{"new_client_legacy_server", []ServerOption{WithGobOnly()}, nil, ProtoGob},
-		{"gob_client_legacy_server", []ServerOption{WithGobOnly()}, []DialOption{WithGobProtocol()}, ProtoGob},
-	}
-	for _, tc := range cases {
+		{"new_client_legacy_server", nil},
+		{"wrong_version", []byte{preambleByte, wireVersion - 1}},
+		{"wrong_preamble_byte", []byte{0x01, wireVersion}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := Serve(rep.New("nego"), "127.0.0.1:0", tc.srvOpts...)
-			if err != nil {
-				t.Fatal(err)
+			addr, preambles := fakePreambleServer(t, tc.reply)
+			c := &Client{addr: addr}
+			for attempt := 0; attempt < 2; attempt++ {
+				if attempt > 0 {
+					// Let the redial backoff lapse so the second call dials.
+					c.mu.Lock()
+					c.nextDial = time.Time{}
+					c.mu.Unlock()
+				}
+				_, err := c.Lookup(ctx, 1, keyspace.New("k"))
+				if !errors.Is(err, ErrUnavailable) {
+					t.Fatalf("attempt %d: lookup = %v, want ErrUnavailable", attempt, err)
+				}
 			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), tc.dialOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.Protocol(); got != tc.wantProto {
-				t.Fatalf("negotiated protocol = %q, want %q", got, tc.wantProto)
-			}
-			// The negotiated connection must actually carry traffic.
-			if err := c.Insert(ctx, 1, keyspace.New("k"), 1, "v"); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Commit(ctx, 1); err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.Lookup(ctx, 2, keyspace.New("k"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Found || res.Value != "v" {
-				t.Fatalf("lookup over %s = %+v, want found v", tc.wantProto, res)
-			}
-			c.Abort(ctx, 2)
-			if tc.wantProto == ProtoBinary {
-				if sent := c.WireStats().Sent(); sent.Frames == 0 || sent.Msgs == 0 {
-					t.Fatalf("binary connection recorded no wire traffic: %+v", sent)
+			for i := 0; i < 2; i++ {
+				select {
+				case got := <-preambles:
+					if want := [2]byte{preambleByte, wireVersion}; got != want {
+						t.Fatalf("dial %d offered preamble %v, want %v", i, got, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("server saw %d dials, want 2", i)
 				}
 			}
 		})
 	}
 }
 
-// TestNegotiationDowngradeIsSticky checks a client that once met a
-// legacy server keeps speaking gob on redials instead of paying a
-// failed negotiation per dial.
-func TestNegotiationDowngradeIsSticky(t *testing.T) {
-	srv, err := Serve(rep.New("sticky"), "127.0.0.1:0", WithGobOnly())
+// fakePreambleServer accepts connections, reports each client
+// preamble on the returned channel, answers with reply (or nothing),
+// and closes the connection.
+func fakePreambleServer(t *testing.T, reply []byte) (string, <-chan [2]byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Protocol(); got != ProtoGob {
-		t.Fatalf("protocol after first dial = %q, want gob", got)
-	}
-	c.Close() // drop the connection; the next call redials
-	if _, err := c.Lookup(ctx, 1, keyspace.New("k")); err != nil {
-		t.Fatal(err)
-	}
-	c.Abort(ctx, 1)
-	if got := c.Protocol(); got != ProtoGob {
-		t.Fatalf("protocol after redial = %q, want sticky gob", got)
-	}
+	t.Cleanup(func() { ln.Close() })
+	preambles := make(chan [2]byte, 8)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var pre [2]byte
+			if _, err := io.ReadFull(conn, pre[:]); err == nil {
+				preambles <- pre
+				if reply != nil {
+					conn.Write(reply)
+				}
+			}
+			conn.Close()
+		}
+	}()
+	return ln.Addr().String(), preambles
 }
 
 // TestLocalTCPEquivalence drives the same operation sequence through the
-// in-process Local transport and a TCP client on each protocol, and
-// requires identical results — the codecs must be semantically invisible.
+// in-process Local transport and a TCP client, and requires identical
+// results — the codec must be semantically invisible.
 func TestLocalTCPEquivalence(t *testing.T) {
 	type outcome struct {
 		desc string
@@ -434,34 +367,28 @@ func TestLocalTCPEquivalence(t *testing.T) {
 	}
 
 	want := drive(NewLocal(rep.New("ref")))
-	for _, proto := range []string{ProtoBinary, ProtoGob} {
-		t.Run(proto, func(t *testing.T) {
-			srv, err := Serve(rep.New("ref"), "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+	t.Run("binary", func(t *testing.T) {
+		srv, err := Serve(rep.New("ref"), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got := drive(c)
+		if len(got) != len(want) {
+			t.Fatalf("outcome count %d, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].desc != want[i].desc || !reflect.DeepEqual(got[i].val, want[i].val) || !errors.Is(got[i].err, want[i].err) || (got[i].err == nil) != (want[i].err == nil) {
+				t.Errorf("step %q:\n got  (%+v, %v)\n want (%+v, %v)",
+					want[i].desc, got[i].val, got[i].err, want[i].val, want[i].err)
 			}
-			defer srv.Close()
-			var opts []DialOption
-			if proto == ProtoGob {
-				opts = append(opts, WithGobProtocol())
-			}
-			c, err := Dial(srv.Addr(), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			got := drive(c)
-			if len(got) != len(want) {
-				t.Fatalf("outcome count %d, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i].desc != want[i].desc || !reflect.DeepEqual(got[i].val, want[i].val) || !errors.Is(got[i].err, want[i].err) || (got[i].err == nil) != (want[i].err == nil) {
-					t.Errorf("step %q over %s:\n got  (%+v, %v)\n want (%+v, %v)",
-						want[i].desc, proto, got[i].val, got[i].err, want[i].val, want[i].err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // flakyConn wraps a net.Conn so tests can inject a write failure at an
@@ -478,18 +405,18 @@ func (f *flakyConn) Write(p []byte) (int, error) {
 	return f.Conn.Write(p)
 }
 
-// testWritePoisonFastFail is the regression test for the old
+// TestWritePoisonFastFailBinary is the regression test for the old
 // write-poisoning failure mode: a failed send on the shared connection
 // must tear it down and fast-fail every in-flight call, rather than
 // leaving callers hung on a stream nobody will ever write again.
-func testWritePoisonFastFail(t *testing.T, proto string) {
+func TestWritePoisonFastFailBinary(t *testing.T) {
 	cli, srvSide := net.Pipe()
 	defer srvSide.Close()
 	go io.Copy(io.Discard, srvSide) // absorb sends; never respond
 
 	fc := &flakyConn{Conn: cli}
 	c := &Client{addr: "injected"}
-	cc := newClientConn(fc, proto, wireVersion, c.addr, 0, 0, &c.stats)
+	cc := newClientConn(fc, c.addr, 0, &c.stats)
 	c.mu.Lock()
 	c.cc = cc
 	c.mu.Unlock()
@@ -525,9 +452,6 @@ func testWritePoisonFastFail(t *testing.T, proto string) {
 		t.Error("connection not torn down after write failure")
 	}
 }
-
-func TestWritePoisonFastFailBinary(t *testing.T) { testWritePoisonFastFail(t, ProtoBinary) }
-func TestWritePoisonFastFailGob(t *testing.T)    { testWritePoisonFastFail(t, ProtoGob) }
 
 // TestServerWriteFailureFailsClientFast covers the server half of the
 // write-poisoning fix end to end: when the server cannot write a
@@ -576,7 +500,7 @@ func TestFrameWriterBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr(), WithBatchWindow(200*time.Microsecond))
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,29 +4,38 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repdir/internal/codec"
+	"repdir/internal/version"
 )
 
-// Frame format. Version 2 frames carry a magic number, the payload
+// Frame format. Every frame carries a magic number, the payload
 // length, and a CRC32C over header and payload, so recovery can tell a
-// torn or bit-flipped frame from a valid one instead of trusting the
-// gob decoder to notice:
+// torn or bit-flipped frame from a valid one:
 //
-//	[0:4]  magic  F7 'W' 'A' '2'
+//	[0:4]  magic  F7 'W' 'A' '3'
 //	[4:8]  payload length, big endian
 //	[8:12] CRC32C over bytes [0:8] and the payload
-//	[12:]  gob-encoded Record
+//	[12:]  record payload (below)
 //
-// Version 1 frames (length prefix + gob payload, no checksum) remain
-// readable: the reader distinguishes the two by the magic, which can
-// never be a plausible v1 length prefix (0xF7... decodes to ~4 GiB,
-// far over MaxFrameLen).
-var frameMagic = [4]byte{0xF7, 'W', 'A', '2'}
+// The payload is built from the internal/codec primitives:
+//
+//	kind(1) lsn(uvarint) txn(uvarint) fields...
+//
+// with per-kind fields
+//
+//	insert:   key version(uvarint) value(bytes)
+//	coalesce: key hi(key) version(uvarint)
+//	epoch:    epoch(uvarint)
+//
+// and none for prepare, commit, and abort. The layout is an on-disk
+// contract pinned byte-for-byte by TestFrameGoldenVectors.
+var frameMagic = [4]byte{0xF7, 'W', 'A', '3'}
 
 const frameHeaderLen = 12
 
@@ -38,20 +47,94 @@ const MaxFrameLen = 16 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeFrame renders one record as a v2 frame.
-func encodeFrame(r Record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(r); err != nil {
-		return nil, fmt.Errorf("wal: encode: %w", err)
+// appendFrame appends one record to b as a complete frame.
+func appendFrame(b []byte, r *Record) ([]byte, error) {
+	start := len(b)
+	b = append(b, frameMagic[:]...)
+	b = append(b, make([]byte, frameHeaderLen-len(frameMagic))...)
+	b = append(b, byte(r.Kind))
+	b = codec.AppendUvarint(b, r.LSN)
+	b = codec.AppendUvarint(b, r.Txn)
+	switch r.Kind {
+	case KindInsert:
+		b = codec.AppendKey(b, r.Key)
+		b = codec.AppendUvarint(b, uint64(r.Version))
+		b = codec.AppendBytes(b, r.Value)
+	case KindCoalesce:
+		b = codec.AppendKey(b, r.Key)
+		b = codec.AppendKey(b, r.Hi)
+		b = codec.AppendUvarint(b, uint64(r.Version))
+	case KindEpoch:
+		b = codec.AppendUvarint(b, r.Epoch)
+	case KindPrepare, KindCommit, KindAbort:
+		// No fields beyond the common header.
+	default:
+		return b[:start], fmt.Errorf("wal: encode: unknown record kind %d", r.Kind)
 	}
-	frame := make([]byte, frameHeaderLen+payload.Len())
-	copy(frame, frameMagic[:])
-	binary.BigEndian.PutUint32(frame[4:8], uint32(payload.Len()))
-	copy(frame[frameHeaderLen:], payload.Bytes())
+	frame := b[start:]
+	payload := frame[frameHeaderLen:]
+	if len(payload) > MaxFrameLen {
+		return b[:start], fmt.Errorf("wal: encode: %d-byte record exceeds MaxFrameLen", len(payload))
+	}
+	binary.BigEndian.PutUint32(frame[4:8], uint32(len(payload)))
 	crc := crc32.Update(0, crcTable, frame[:8])
-	crc = crc32.Update(crc, crcTable, frame[frameHeaderLen:])
+	crc = crc32.Update(crc, crcTable, payload)
 	binary.BigEndian.PutUint32(frame[8:12], crc)
-	return frame, nil
+	return b, nil
+}
+
+// decodeRecord decodes one frame payload. The whole payload must be
+// consumed: trailing bytes are as much a corruption as missing ones.
+func decodeRecord(payload []byte) (Record, error) {
+	r := codec.NewReader(payload)
+	kind, err := r.ReadByte()
+	if err != nil {
+		return Record{}, err
+	}
+	rec := Record{Kind: Kind(kind)}
+	if rec.LSN, err = r.ReadUvarint(); err != nil {
+		return Record{}, err
+	}
+	if rec.Txn, err = r.ReadUvarint(); err != nil {
+		return Record{}, err
+	}
+	var v uint64
+	switch rec.Kind {
+	case KindInsert:
+		if rec.Key, err = r.ReadKey(); err != nil {
+			return Record{}, err
+		}
+		if v, err = r.ReadUvarint(); err != nil {
+			return Record{}, err
+		}
+		rec.Version = version.V(v)
+		if rec.Value, err = r.ReadString(); err != nil {
+			return Record{}, err
+		}
+	case KindCoalesce:
+		if rec.Key, err = r.ReadKey(); err != nil {
+			return Record{}, err
+		}
+		if rec.Hi, err = r.ReadKey(); err != nil {
+			return Record{}, err
+		}
+		if v, err = r.ReadUvarint(); err != nil {
+			return Record{}, err
+		}
+		rec.Version = version.V(v)
+	case KindEpoch:
+		if rec.Epoch, err = r.ReadUvarint(); err != nil {
+			return Record{}, err
+		}
+	case KindPrepare, KindCommit, KindAbort:
+		// No fields.
+	default:
+		return Record{}, fmt.Errorf("%w: unknown record kind %d", codec.ErrCodec, kind)
+	}
+	if r.Remaining() != 0 {
+		return Record{}, fmt.Errorf("%w: %d trailing bytes", codec.ErrCodec, r.Remaining())
+	}
+	return rec, nil
 }
 
 // CorruptionCause classifies why a log scan stopped before a clean EOF.
@@ -69,11 +152,15 @@ const (
 	// CauseBadLength: a length prefix over MaxFrameLen; the header bytes
 	// themselves are damaged.
 	CauseBadLength
-	// CauseBadCRC: a v2 frame whose checksum does not cover its bytes.
+	// CauseBadCRC: a frame whose checksum does not cover its bytes.
 	CauseBadCRC
-	// CauseDecode: the payload passed its length (and, for v2, CRC)
-	// checks but the gob decoder rejected it.
+	// CauseDecode: the payload passed its length and CRC checks but
+	// does not decode as a record.
 	CauseDecode
+	// CauseBadMagic: a frame header that does not open with the frame
+	// magic — damaged bytes, or a log in a format this build does not
+	// read.
+	CauseBadMagic
 )
 
 // String names the cause.
@@ -91,6 +178,8 @@ func (c CorruptionCause) String() string {
 		return "bad-crc"
 	case CauseDecode:
 		return "bad-payload"
+	case CauseBadMagic:
+		return "bad-magic"
 	default:
 		return fmt.Sprintf("CorruptionCause(%d)", int(c))
 	}
@@ -135,8 +224,9 @@ func (r *CorruptionReport) Error() string {
 func scanFrames(path string, r io.Reader, size int64) ([]Record, CorruptionReport) {
 	br := bufio.NewReader(r)
 	var (
-		out []Record
-		off int64
+		out     []Record
+		off     int64
+		payload []byte // reused: decodeRecord copies what it keeps
 	)
 	report := func(cause CorruptionCause) CorruptionReport {
 		rep := CorruptionReport{Path: path, Cause: cause, Offset: off, Records: len(out)}
@@ -151,57 +241,40 @@ func scanFrames(path string, r io.Reader, size int64) ([]Record, CorruptionRepor
 			return out, report(CauseNone)
 		}
 		var head [frameHeaderLen]byte
-		if remaining < 4 {
+		if remaining < frameHeaderLen {
 			return out, report(CauseTornHeader)
 		}
-		if _, err := io.ReadFull(br, head[:4]); err != nil {
+		if _, err := io.ReadFull(br, head[:]); err != nil {
 			return out, report(CauseTornHeader)
 		}
-		var (
-			payloadLen uint32
-			headerLen  int64
-			checked    bool // v2: CRC protects the frame
-			crcWant    uint32
-		)
-		if bytes.Equal(head[:4], frameMagic[:]) {
-			headerLen = frameHeaderLen
-			if remaining < frameHeaderLen {
-				return out, report(CauseTornHeader)
-			}
-			if _, err := io.ReadFull(br, head[4:frameHeaderLen]); err != nil {
-				return out, report(CauseTornHeader)
-			}
-			payloadLen = binary.BigEndian.Uint32(head[4:8])
-			crcWant = binary.BigEndian.Uint32(head[8:12])
-			checked = true
-		} else {
-			// Legacy v1 frame: bare length prefix.
-			headerLen = 4
-			payloadLen = binary.BigEndian.Uint32(head[:4])
+		if !bytes.Equal(head[:4], frameMagic[:]) {
+			return out, report(CauseBadMagic)
 		}
+		payloadLen := binary.BigEndian.Uint32(head[4:8])
 		if payloadLen > MaxFrameLen {
 			return out, report(CauseBadLength)
 		}
-		if int64(payloadLen) > remaining-headerLen {
+		if int64(payloadLen) > remaining-frameHeaderLen {
 			return out, report(CauseTornPayload)
 		}
-		payload := make([]byte, payloadLen)
+		if cap(payload) < int(payloadLen) {
+			payload = make([]byte, payloadLen)
+		}
+		payload = payload[:payloadLen]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return out, report(CauseTornPayload)
 		}
-		if checked {
-			crc := crc32.Update(0, crcTable, head[:8])
-			crc = crc32.Update(crc, crcTable, payload)
-			if crc != crcWant {
-				return out, report(CauseBadCRC)
-			}
+		crc := crc32.Update(0, crcTable, head[:8])
+		crc = crc32.Update(crc, crcTable, payload)
+		if crc != binary.BigEndian.Uint32(head[8:12]) {
+			return out, report(CauseBadCRC)
 		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		rec, err := decodeRecord(payload)
+		if err != nil {
 			return out, report(CauseDecode)
 		}
 		out = append(out, rec)
-		off += headerLen + int64(payloadLen)
+		off += frameHeaderLen + int64(payloadLen)
 	}
 }
 

@@ -3,98 +3,151 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repdir/internal/codec"
 	"repdir/internal/keyspace"
 )
 
-// appendV1Frame writes a legacy (length prefix + gob, no checksum)
-// frame, byte-identical to what the v1 writer produced.
-func appendV1Frame(t *testing.T, path string, r Record) {
-	t.Helper()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(r); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], uint32(payload.Len()))
-	if _, err := f.Write(head[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(payload.Bytes()); err != nil {
-		t.Fatal(err)
+// goldenRecords is one record of each Kind with the exact frame it
+// must encode to.
+var goldenRecords = []struct {
+	rec  Record
+	want []byte
+}{
+	{
+		rec: Record{LSN: 1, Kind: KindInsert, Txn: 2, Key: keyspace.New("k"), Version: 3, Value: "v"},
+		want: []byte{0xf7, 'W', 'A', '3', 0x00, 0x00, 0x00, 0x09, 0x92, 0x1e, 0x77, 0xec,
+			0x01, 0x01, 0x02, 0x02, 0x01, 'k', 0x03, 0x01, 'v'},
+	},
+	{
+		rec: Record{LSN: 2, Kind: KindCoalesce, Txn: 2, Key: keyspace.Low(), Hi: keyspace.New("z"), Version: 4},
+		want: []byte{0xf7, 'W', 'A', '3', 0x00, 0x00, 0x00, 0x08, 0x08, 0x59, 0x73, 0x40,
+			0x02, 0x02, 0x02, 0x01, 0x02, 0x01, 'z', 0x04},
+	},
+	{
+		rec: Record{LSN: 3, Kind: KindPrepare, Txn: 2},
+		want: []byte{0xf7, 'W', 'A', '3', 0x00, 0x00, 0x00, 0x03, 0xd3, 0x2d, 0xd1, 0x5a,
+			0x03, 0x03, 0x02},
+	},
+	{
+		rec: Record{LSN: 4, Kind: KindCommit, Txn: 2},
+		want: []byte{0xf7, 'W', 'A', '3', 0x00, 0x00, 0x00, 0x03, 0xdd, 0xb0, 0x7c, 0x76,
+			0x04, 0x04, 0x02},
+	},
+	{
+		rec: Record{LSN: 300, Kind: KindAbort, Txn: 5},
+		want: []byte{0xf7, 'W', 'A', '3', 0x00, 0x00, 0x00, 0x04, 0x17, 0x69, 0x52, 0xba,
+			0x05, 0xac, 0x02, 0x05},
+	},
+	{
+		rec: Record{LSN: 6, Kind: KindEpoch, Epoch: 7},
+		want: []byte{0xf7, 'W', 'A', '3', 0x00, 0x00, 0x00, 0x04, 0xae, 0x68, 0x7b, 0x05,
+			0x06, 0x06, 0x00, 0x07},
+	},
+}
+
+// TestFrameGoldenVectors pins the record frame byte-for-byte, one frame
+// per Kind. Logs outlive the binary that wrote them, so a failure here
+// means "new frame magic", never "update the expected bytes".
+func TestFrameGoldenVectors(t *testing.T) {
+	for _, g := range goldenRecords {
+		t.Run(g.rec.Kind.String(), func(t *testing.T) {
+			got, err := appendFrame(nil, &g.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, g.want) {
+				t.Fatalf("encoding drifted:\n got  %#v\n want %#v", got, g.want)
+			}
+			back, err := decodeRecord(g.want[frameHeaderLen:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, g.rec) {
+				t.Fatalf("decode = %+v, want %+v", back, g.rec)
+			}
+		})
 	}
 }
 
-// TestV1FixtureStillReadable reads an on-disk log written by the v1
-// (pre-checksum) code, checked in as a fixture — the migration
-// guarantee that upgrading the binary does not orphan existing logs.
-func TestV1FixtureStillReadable(t *testing.T) {
-	records, err := ReadFileLog(filepath.Join("testdata", "v1.wal"))
-	if err != nil {
-		t.Fatalf("v1 fixture unreadable: %v", err)
-	}
-	if len(records) != 8 {
-		t.Fatalf("read %d records from v1 fixture, want 8", len(records))
-	}
-	if records[0].Kind != KindInsert || records[0].Key.Raw() != "alpha" ||
-		records[0].Version != 3 || records[0].Value != "a" {
-		t.Errorf("first fixture record = %+v", records[0])
-	}
-	if records[7].Kind != KindPrepare || records[7].Txn != 3 {
-		t.Errorf("last fixture record = %+v", records[7])
-	}
-	for i, r := range records {
-		if r.LSN != uint64(i+1) {
-			t.Errorf("record %d LSN = %d", i, r.LSN)
+// TestRecordTruncatedPayloads feeds every proper prefix of every golden
+// record payload, and each payload with a trailing byte, to the
+// decoder: each must be an error wrapping codec.ErrCodec, never a
+// panic and never a record.
+func TestRecordTruncatedPayloads(t *testing.T) {
+	for _, g := range goldenRecords {
+		payload := g.want[frameHeaderLen:]
+		for n := 0; n < len(payload); n++ {
+			if rec, err := decodeRecord(payload[:n]); !errors.Is(err, codec.ErrCodec) {
+				t.Fatalf("%s payload cut to %d/%d bytes = (%+v, %v), want a codec error",
+					g.rec.Kind, n, len(payload), rec, err)
+			}
+		}
+		if _, err := decodeRecord(append(append([]byte(nil), payload...), 0)); !errors.Is(err, codec.ErrCodec) {
+			t.Fatalf("%s payload with a trailing byte = %v, want a codec error", g.rec.Kind, err)
 		}
 	}
-	// The analysis machinery must see the same history: txns 1 and 2
-	// committed, txn 3 in doubt.
-	a, err := Analyze(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Outcomes[1] || !a.Outcomes[2] {
-		t.Errorf("outcomes = %v, want txns 1 and 2 committed", a.Outcomes)
-	}
-	if _, ok := a.InDoubt[3]; !ok {
-		t.Errorf("txn 3 should be in doubt, got %v", a.InDoubt)
-	}
 }
 
-// TestMixedVersionLog appends v2 frames after v1 frames — the shape of
-// any log that lived across the upgrade — and reads them as one stream.
-func TestMixedVersionLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mixed.wal")
-	appendV1Frame(t, path, Record{LSN: 1, Kind: KindInsert, Txn: 1, Key: keyspace.New("a"), Value: "v"})
-	appendV1Frame(t, path, Record{LSN: 2, Kind: KindCommit, Txn: 1})
+// TestAppendRejectsUnknownKind: a record the frame layout has no
+// encoding for must fail the append, not write a frame recovery cannot
+// read back.
+func TestAppendRejectsUnknownKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kind.wal")
 	l, err := OpenFileLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartAt(3)
-	if err := l.Append(Record{Kind: KindInsert, Txn: 2, Key: keyspace.New("b"), Value: "w"}); err != nil {
-		t.Fatal(err)
+	if err := l.Append(Record{Kind: Kind(99)}); err == nil {
+		t.Fatal("append of an unknown kind succeeded")
 	}
-	if err := l.Append(Record{Kind: KindCommit, Txn: 2}); err != nil {
+	if err := l.Append(Record{Kind: KindCommit, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	got, err := ReadFileLog(path)
+	records, err := ReadFileLog(path)
+	if err != nil || len(records) != 1 || records[0].LSN != 1 {
+		t.Fatalf("log after rejected append = %+v, %v", records, err)
+	}
+}
+
+// TestBadMagicIsNotTorn: a frame header that does not open with the
+// frame magic — damaged bytes, or a log in an older frame format — is
+// reported as bad-magic corruption at its offset, not as a torn tail to
+// be silently truncated.
+func TestBadMagicIsNotTorn(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := corpus(t, dir)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 || got[3].LSN != 4 || got[2].Key.Raw() != "b" {
-		t.Fatalf("mixed log read = %+v", got)
+	first := frameHeaderLen + int(binary.BigEndian.Uint32(data[4:8]))
+	// The second frame's magic is damaged; the intact frames after it
+	// must not turn the damage into a torn tail.
+	damaged := append([]byte(nil), data...)
+	damaged[first+2] ^= 0x01
+	p := filepath.Join(dir, "magic.wal")
+	if err := os.WriteFile(p, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFileLog(p); err == nil {
+		t.Fatal("strict read accepted a frame without magic")
+	}
+	records, report, err := ScanFileLog(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report == nil || report.Cause != CauseBadMagic || report.Cause.Torn() {
+		t.Fatalf("report = %+v, want non-torn bad-magic", report)
+	}
+	if len(records) != 1 || report.Offset != int64(first) {
+		t.Fatalf("%d records, offset %d; want 1 record, offset %d", len(records), report.Offset, first)
 	}
 }
 
@@ -129,8 +182,9 @@ func corpus(t *testing.T, dir string) (string, []Record) {
 // rejected before allocation, not drive a multi-gigabyte make.
 func TestReadFileLogBoundsFrameLength(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "huge.wal")
-	// A v1-style header claiming ~4 GiB, then a few bytes.
-	if err := os.WriteFile(path, []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, 0o644); err != nil {
+	// A header claiming ~4 GiB, then a few bytes.
+	huge := append(frameMagic[:], 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3)
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFileLog(path); err == nil {
@@ -156,7 +210,7 @@ func TestSalvageBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a bit inside the payload of an interior frame (walking the
-	// v2 headers to find it), so the CRC — not a length check — is what
+	// frame headers to find it), so the CRC — not a length check — is what
 	// catches it.
 	var off, pos int
 	for frame := 0; ; frame++ {
@@ -304,13 +358,14 @@ func TestCorruptionCauseString(t *testing.T) {
 		CauseBadLength:      "bad-length",
 		CauseBadCRC:         "bad-crc",
 		CauseDecode:         "bad-payload",
+		CauseBadMagic:       "bad-magic",
 		CorruptionCause(42): "CorruptionCause(42)",
 	} {
 		if got := c.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(c), got, want)
 		}
 	}
-	if !CauseTornHeader.Torn() || !CauseTornPayload.Torn() || CauseBadCRC.Torn() {
+	if !CauseTornHeader.Torn() || !CauseTornPayload.Torn() || CauseBadCRC.Torn() || CauseBadMagic.Torn() {
 		t.Error("Torn misclassifies causes")
 	}
 }

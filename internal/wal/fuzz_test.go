@@ -28,7 +28,15 @@ func FuzzReadFileLog(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0xff})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // absurd frame length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // no frame magic
+	// Every record kind in one log, so the fuzzer starts from each
+	// per-kind field layout.
+	var all []byte
+	for _, g := range goldenRecords {
+		all = append(all, g.want...)
+	}
+	f.Add(all)
+	f.Add(append(frameMagic[:], 0xff, 0xff, 0xff, 0xff)) // absurd frame length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
@@ -53,7 +61,7 @@ func FuzzReadFileLog(f *testing.F) {
 	})
 }
 
-// FuzzSalvage writes a known workload of v2 frames, then mutates the
+// FuzzSalvage writes a known workload of frames, then mutates the
 // file with a fuzz-chosen truncation and bit flip. Salvage must never
 // panic, never return a record that was not written (every CRC-passing
 // record is byte-authentic), and always return a prefix of the written

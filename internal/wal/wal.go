@@ -77,8 +77,7 @@ type Record struct {
 	Version version.V
 	Value   string
 	// Epoch is the configuration epoch a KindEpoch record fences at;
-	// zero on every other kind. (Gob keeps old logs readable: records
-	// written before this field exists decode with Epoch zero.)
+	// zero on every other kind.
 	Epoch uint64
 }
 
@@ -208,7 +207,7 @@ type File interface {
 	Close() error
 }
 
-// FileLog appends records to a file as checksummed v2 frames (see
+// FileLog appends records to a file as checksummed frames (see
 // frame.go), so a log can be reopened for appending and recovery can
 // distinguish every record that was fully written from torn or
 // corrupted bytes.
@@ -216,6 +215,7 @@ type FileLog struct {
 	mu     sync.Mutex
 	f      File
 	w      *bufio.Writer
+	buf    []byte // frame encoding scratch, reused across appends
 	next   uint64
 	policy SyncPolicy
 	syncs  uint64
@@ -316,12 +316,13 @@ func (l *FileLog) Append(r Record) error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.next++
-	r.LSN = l.next
-	frame, err := encodeFrame(r)
+	r.LSN = l.next + 1
+	frame, err := appendFrame(l.buf[:0], &r)
 	if err != nil {
 		return err
 	}
+	l.buf = frame
+	l.next++
 	if _, err := l.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: write frame: %w", err)
 	}
@@ -362,11 +363,11 @@ func (l *FileLog) Close() error {
 	return l.f.Close()
 }
 
-// ReadFileLog decodes every record in a log file, v1 and v2 frames
-// alike. A trailing partial frame (torn write during a crash) is
-// tolerated; a corrupt frame in the middle of the log — bad length,
-// failed checksum, undecodable payload — is an error. Use
-// SalvageFileLog to recover the valid prefix of a damaged log instead.
+// ReadFileLog decodes every record in a log file. A trailing partial
+// frame (torn write during a crash) is tolerated; a corrupt frame in
+// the middle of the log — bad magic, bad length, failed checksum,
+// undecodable payload — is an error. Use SalvageFileLog to recover the
+// valid prefix of a damaged log instead.
 func ReadFileLog(path string) ([]Record, error) {
 	records, report, err := scanFile(path)
 	if err != nil {
