@@ -12,11 +12,14 @@
 //
 // Correctness: the spare's reply substitutes for the slow member's slot
 // in the quorum only if the spare carries at least as many votes, so
-// the substituted read set still intersects every write quorum. The
-// spare joins the transaction before its probe fires (txn.Join is
-// concurrency-safe), so its read lock is released with everyone else's
-// at commit/abort. Witnesses are never spares (no values), and members
-// excluded by earlier failures are not considered.
+// the substituted read set still intersects every write quorum. Only
+// one-shot reads (rep.WithOneShotRead) are hedged: every probe, the
+// loser's too, releases its lock in its own reply wherever and whenever
+// it lands. The loser of a locked read could reach its member after the
+// transaction had finished there and take a lock that nothing releases,
+// so Insert, Update, RunInTxn and witness-suite reads are not hedged.
+// Witnesses are never spares (no values), and members excluded by
+// earlier failures are not considered.
 package core
 
 import (
@@ -101,8 +104,9 @@ func (o hedgeOption) apply(s *Suite) { s.hedge = newHedgeState(o.floor, o.ceil) 
 // lookup probe outstanding longer than the observed p99 probe latency
 // (clamped to [floor, ceil]; zero values select DefaultHedgeFloor /
 // DefaultHedgeCeil) is raced against a spare store member, first answer
-// wins. Fires on ~1% of probes by construction. Most useful together
-// with WithParallelQuorum over a real network.
+// wins. Fires on ~1% of probes by construction. Only the one-shot point
+// reads of a suite without witnesses (Lookup, LookupV) are hedged. Most
+// useful together with WithParallelQuorum over a real network.
 func WithHedgedReads(floor, ceil time.Duration) Option {
 	return hedgeOption{floor: floor, ceil: ceil}
 }
@@ -193,7 +197,6 @@ func (tx *Tx) hedgedProbe(ctx context.Context, key keyspace.Key, members []quoru
 			tx.suite.counters.hedgedReads.Add(1)
 			tx.hedgeMsgs.Add(1)
 			d := tx.suite.wrapDir(sp.Dir)
-			tx.txn.Join(d)
 			go func() {
 				r, err := d.Lookup(pctx, tx.txn.ID, key)
 				ch <- probeRes{r: r, err: err, hedge: true}

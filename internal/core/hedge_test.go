@@ -158,7 +158,8 @@ func TestHedgeNoSpareFallsBack(t *testing.T) {
 
 // TestHedgeWitnessNeverSpare: witnesses hold no values, so they must
 // never be chosen as hedge spares even when they are the only members
-// outside the read quorum.
+// outside the read quorum. A suite with a witness keeps locked point
+// reads, which are not hedged at all.
 func TestHedgeWitnessNeverSpare(t *testing.T) {
 	ctx := context.Background()
 	a, b := transport.NewLocal(rep.New("A")), transport.NewLocal(rep.New("B"))
@@ -189,4 +190,49 @@ func TestHedgeWitnessNeverSpare(t *testing.T) {
 	if suite.Stats().HedgedReads != 0 {
 		t.Fatal("a witness was used as a hedge spare")
 	}
+}
+
+// TestOnlyOneShotReadsAreHedged: the read phase of an Update keeps its
+// locks until commit, so it is not hedged — a late loser could land
+// after the commit and take a lock nothing releases. A point Lookup is
+// a one-shot read and is hedged, and its loser releases its own lock
+// when it finally lands.
+func TestOnlyOneShotReadsAreHedged(t *testing.T) {
+	ctx := context.Background()
+	reps := []*rep.Rep{rep.New("A"), rep.New("B"), rep.New("C")}
+	slow := newSlowDir(reps[0])
+	dirs := []rep.Directory{slow, transport.NewLocal(reps[1]), transport.NewLocal(reps[2])}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	suite, err := NewSuite(cfg,
+		WithSelector(quorum.NewStickySelector(cfg)),
+		WithParallelQuorum(true),
+		WithHedgedReads(time.Millisecond, 5*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := suite.Insert(ctx, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < hedgeWarmupProbes; i++ {
+		if _, _, err := suite.Lookup(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow.setDelay(30 * time.Millisecond)
+	if err := suite.Update(ctx, "k", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	if n := suite.Stats().HedgedReads; n != 0 {
+		t.Fatalf("an Update's locked read fired %d hedges", n)
+	}
+	if v, _, err := suite.Lookup(ctx, "k"); err != nil || v != "v2" {
+		t.Fatalf("Lookup = %q, %v", v, err)
+	}
+	if suite.Stats().HedgedReads == 0 {
+		t.Fatal("a one-shot Lookup against a slow member fired no hedge")
+	}
+	slow.setDelay(0)
+	time.Sleep(60 * time.Millisecond) // let the losing probe land at A
+	assertNoHeldState(t, reps)
 }

@@ -21,10 +21,15 @@
 //
 // Every suite operation runs as an atomic transaction across the
 // representatives it touches: strict two-phase locking at each
-// representative plus two-phase commit (package txn). Transactions killed
-// by wait-die deadlock avoidance, and operations that lose a replica
-// mid-flight, are retried automatically under the same transaction
-// timestamp.
+// representative plus two-phase commit (package txn). A point read
+// (Lookup, LookupV, LocalLookup) on a suite without witnesses is one
+// round: it runs as a one-shot read (rep.WithOneShotRead), in which each
+// member takes its read lock, reads, and releases the lock in its own
+// reply, so no abort round follows. A single-key read is its own lock
+// point, because writers hold their locks until their commit is applied
+// at each member. Transactions killed by wait-die deadlock avoidance,
+// and operations that lose a replica mid-flight, are retried
+// automatically under the same transaction timestamp.
 package core
 
 import (
@@ -260,7 +265,7 @@ func (s *Suite) Config() quorum.Config { return s.cfg }
 func (s *Suite) Lookup(ctx context.Context, key string) (string, bool, error) {
 	var value string
 	var found bool
-	err := s.runTxn(ctx, OpLookup, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpLookup, txnReadOnce, func(tx *Tx) error {
 		var err error
 		value, found, err = tx.Lookup(ctx, key)
 		return err
@@ -270,7 +275,7 @@ func (s *Suite) Lookup(ctx context.Context, key string) (string, bool, error) {
 
 // Insert creates an entry for key. It returns ErrKeyExists if one exists.
 func (s *Suite) Insert(ctx context.Context, key, value string) error {
-	return s.runTxn(ctx, OpInsert, false, func(tx *Tx) error {
+	return s.runTxn(ctx, OpInsert, txnPlain, func(tx *Tx) error {
 		return tx.Insert(ctx, key, value)
 	})
 }
@@ -278,7 +283,7 @@ func (s *Suite) Insert(ctx context.Context, key, value string) error {
 // Update replaces the value of an existing entry. It returns
 // ErrKeyNotFound if the key has no entry.
 func (s *Suite) Update(ctx context.Context, key, value string) error {
-	return s.runTxn(ctx, OpUpdate, false, func(tx *Tx) error {
+	return s.runTxn(ctx, OpUpdate, txnPlain, func(tx *Tx) error {
 		return tx.Update(ctx, key, value)
 	})
 }
@@ -286,7 +291,7 @@ func (s *Suite) Update(ctx context.Context, key, value string) error {
 // Delete removes the entry for key. It returns ErrKeyNotFound if the key
 // has no entry.
 func (s *Suite) Delete(ctx context.Context, key string) error {
-	return s.runTxn(ctx, OpDelete, false, func(tx *Tx) error {
+	return s.runTxn(ctx, OpDelete, txnPlain, func(tx *Tx) error {
 		return tx.Delete(ctx, key)
 	})
 }
@@ -297,7 +302,7 @@ func (s *Suite) Delete(ctx context.Context, key string) error {
 // failures, so it must be idempotent from the caller's perspective (pure
 // directory operations are).
 func (s *Suite) RunInTxn(ctx context.Context, fn func(tx *Tx) error) error {
-	return s.runTxn(ctx, OpTxn, false, fn)
+	return s.runTxn(ctx, OpTxn, txnPlain, fn)
 }
 
 // Operation labels used for traces and per-operation histograms.
@@ -315,15 +320,32 @@ const (
 	OpReadRepair  = "read-repair"
 )
 
+// txnKind tells runTxn what kind of transaction fn is.
+type txnKind uint8
+
+const (
+	// txnPlain is a client transaction: finish commits or releases it.
+	txnPlain txnKind = iota
+	// txnRepair marks internal repair transactions (read repair,
+	// RepairReplica): they never enqueue further read repairs, so a
+	// freshen that observes more staleness cannot loop on itself.
+	txnRepair
+	// txnReadOnce is a transaction that is exactly one quorum read of
+	// one key. On a suite without witnesses it runs as a one-shot read
+	// (rep.WithOneShotRead): each member releases its read lock in its
+	// own reply, so no finish or abort round follows, on any attempt.
+	// Witness suites keep the locked read, because chaseValue relies on
+	// the quorum's locks being held across the chase.
+	txnReadOnce
+)
+
 // runTxn is RunInTxn plus the operation label (for traces and
-// histograms) and the repair-transaction marker: repair transactions
-// (read repair, RepairReplica) never enqueue further read repairs, so a
-// freshen that observes more staleness cannot loop on itself.
+// histograms) and the transaction kind.
 //
 // Every call ends up in exactly one of the commits, failures, or
 // cancelled counters, so SuiteStats always satisfies
 // Commits + Failures + Cancelled == Calls at rest.
-func (s *Suite) runTxn(ctx context.Context, op string, repairTxn bool, fn func(tx *Tx) error) (err error) {
+func (s *Suite) runTxn(ctx context.Context, op string, kind txnKind, fn func(tx *Tx) error) (err error) {
 	s.counters.calls.Add(1)
 	trace := s.obs.StartTrace(op)
 	msgs := 0
@@ -359,7 +381,8 @@ func (s *Suite) runTxn(ctx context.Context, op string, repairTxn bool, fn func(t
 			txn:       attemptTxn,
 			trace:     trace,
 			exclude:   exclude,
-			repairTxn: repairTxn,
+			repairTxn: kind == txnRepair,
+			oneShot:   kind == txnReadOnce && !s.hasWitness,
 		}
 		if s.obs != nil {
 			attemptTxn.Phase = tx.observePhase
@@ -371,7 +394,7 @@ func (s *Suite) runTxn(ctx context.Context, op string, repairTxn bool, fn func(t
 		err := fn(tx)
 		if err == nil {
 			err = tx.finish(ctx)
-		} else {
+		} else if !tx.oneShot {
 			_ = tx.txn.Abort(ctx)
 		}
 		msgs += tx.msgs

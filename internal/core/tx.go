@@ -40,8 +40,13 @@ type Tx struct {
 	// attempt, so the retry can route around them.
 	failed map[string]bool
 	// mutated records whether any representative state changed; pure
-	// read transactions release their locks with a cheap abort.
+	// read transactions release their locks with a cheap abort, except
+	// one-shot reads, which hold none after their replies.
 	mutated bool
+	// oneShot marks a transaction that is a single one-shot quorum read
+	// (txnReadOnce): its lookups carry rep.WithOneShotRead, no member
+	// joins it, and it sends no finish or abort round.
+	oneShot bool
 	// hedgeMsgs counts messages sent by hedge probe goroutines during a
 	// quorum round; folded into msgs after the round's barrier (msgs
 	// itself is not written concurrently).
@@ -99,14 +104,36 @@ func (tx *Tx) noteFailure(name string, err error) {
 }
 
 // finish commits a mutating transaction (two-phase commit when several
-// representatives participated) or releases a read-only one.
+// representatives participated) or releases a read-only one. A one-shot
+// read has nothing to finish: every member released its lock before
+// replying and never registered the transaction.
 func (tx *Tx) finish(ctx context.Context) error {
+	if tx.oneShot {
+		return nil
+	}
 	if tx.mutated {
 		return tx.txn.Commit(ctx)
 	}
 	// Read-only: abort releases locks without logging; it cannot change
 	// any state because none was written.
 	return tx.txn.Abort(ctx)
+}
+
+// join adds d to the transaction's participants, which finish and abort
+// address. One-shot reads have none.
+func (tx *Tx) join(d rep.Directory) {
+	if !tx.oneShot {
+		tx.txn.Join(d)
+	}
+}
+
+// readCtx is the context a lookup probe carries: marked one-shot when
+// the transaction is a one-shot read.
+func (tx *Tx) readCtx(ctx context.Context) context.Context {
+	if tx.oneShot {
+		return rep.WithOneShotRead(ctx)
+	}
+	return ctx
 }
 
 // flushMetrics reports buffered observations after a successful commit.
@@ -195,13 +222,14 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if err != nil {
 		return rep.LookupResult{}, err
 	}
+	ctx = tx.readCtx(ctx)
 	sp := tx.span("quorum-read", key.Raw())
 	replies := make([]rep.LookupResult, len(members))
 	errs := make([]error, len(members))
 	do := func(i int, m quorum.Member) {
 		replies[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, key)
 	}
-	if tx.suite.hedge != nil {
+	if tx.suite.hedge != nil && tx.oneShot {
 		do = tx.hedgedProbe(ctx, key, members, replies, errs)
 	}
 	tx.fanOut(members, do)
@@ -365,7 +393,7 @@ func (tx *Tx) roundError(members []quorum.Member, errs []error, verb string, key
 func (tx *Tx) fanOut(members []quorum.Member, do func(i int, m quorum.Member)) {
 	tx.msgs += len(members)
 	for _, m := range members {
-		tx.txn.Join(m.Dir)
+		tx.join(m.Dir)
 	}
 	if !tx.suite.parallel || len(members) < 2 {
 		for i, m := range members {

@@ -44,6 +44,29 @@ func EpochFromContext(ctx context.Context) uint64 {
 	return e
 }
 
+// oneShotCtxKey marks a context whose Lookup is a one-shot read.
+type oneShotCtxKey struct{}
+
+// WithOneShotRead returns a context under which Lookup is a one-shot
+// read: the whole transaction is this single read. The representative
+// takes the Figure 7 RepLookup point lock under wait-die as usual,
+// reads, and releases the lock before replying, so no Commit or Abort
+// has to follow. It never registers the transaction, because no
+// Prepare ever follows either. A single-key read is its own lock point:
+// writers hold their RepModify locks until their commit is applied
+// here, so the read sees the last committed version or waits or dies.
+// Only Lookup honors the marker. The transport carries it to remote
+// representatives like the epoch.
+func WithOneShotRead(ctx context.Context) context.Context {
+	return context.WithValue(ctx, oneShotCtxKey{}, true)
+}
+
+// OneShotReadFromContext reports whether ctx carries WithOneShotRead.
+func OneShotReadFromContext(ctx context.Context) bool {
+	v, _ := ctx.Value(oneShotCtxKey{}).(bool)
+	return v
+}
+
 // witnessOption marks the representative as a zero-data witness.
 type witnessOption struct{}
 

@@ -66,6 +66,11 @@ var (
 	// install entries. The suite treats this error like an unavailable
 	// member and reads around it.
 	ErrRecovering = errors.New("rep: replica recovering from storage loss")
+	// ErrLiveTxn is returned by a one-shot Lookup (WithOneShotRead)
+	// under a transaction that already holds state or locks here:
+	// releasing the read's lock would release that transaction's locks
+	// too, so the read is refused instead.
+	ErrLiveTxn = errors.New("rep: one-shot read under a live transaction")
 )
 
 // LookupResult is the reply to Lookup. When Found is false, Version is
@@ -243,7 +248,8 @@ func (r *Rep) readable() error {
 }
 
 // Lookup implements Directory. Sentinel keys are always present.
-// Locks RepLookup(key, key).
+// Locks RepLookup(key, key). Under WithOneShotRead the lock is released
+// before the reply and the transaction is never registered here.
 func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (LookupResult, error) {
 	if err := r.checkEpoch(ctx); err != nil {
 		return LookupResult{}, err
@@ -255,12 +261,33 @@ func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (Loo
 		return LookupResult{}, err
 	}
 	r.stats.lookups.Add(1)
+	oneShot := OneShotReadFromContext(ctx)
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	if oneShot {
+		if _, live := r.txns[txn]; live || r.locks.HeldBy(txn) > 1 {
+			r.mu.Unlock()
+			// The lock just taken now belongs to that transaction and
+			// goes with the rest of its locks at its commit or abort.
+			return LookupResult{}, fmt.Errorf("%w: txn %d at %s", ErrLiveTxn, txn, r.name)
+		}
+	}
+	res, err := r.lookupLocked(txn, key, !oneShot)
+	r.mu.Unlock()
+	if oneShot {
+		r.locks.ReleaseAll(txn)
+	}
+	return res, err
+}
+
+// lookupLocked reads key for Lookup, registering txn when asked;
+// callers hold r.mu and txn's lock on key.
+func (r *Rep) lookupLocked(txn lock.TxnID, key keyspace.Key, register bool) (LookupResult, error) {
 	if err := r.undecided(txn); err != nil {
 		return LookupResult{}, err
 	}
-	r.touch(txn)
+	if register {
+		r.touch(txn)
+	}
 	if e, ok := r.store.Get(key); ok {
 		return LookupResult{Found: true, Version: e.Version, Value: e.Value}, nil
 	}
@@ -646,7 +673,8 @@ func (r *Rep) undecided(id lock.TxnID) error {
 // participant that really served this transaction from one that lost its
 // state in a crash; callers hold r.mu. Read-only operations register
 // too — every participant of a two-phase commit must be able to vouch
-// for its part.
+// for its part. One-shot reads (WithOneShotRead) do not: no Prepare
+// ever follows them.
 func (r *Rep) touch(id lock.TxnID) {
 	_ = r.txn(id)
 }

@@ -230,3 +230,19 @@ func TestAdmitStateUnit(t *testing.T) {
 		t.Fatal("disabled controller must admit everything")
 	}
 }
+
+// TestSheddableOps pins the admission classes: every read and write
+// that starts new work, the one-shot lookup included, may be shed; the
+// two-phase-commit resolution ops and the name probe never are.
+func TestSheddableOps(t *testing.T) {
+	for o := opLookup; o <= opLookupOnce; o++ {
+		want := true
+		switch o {
+		case opPrepare, opCommit, opAbort, opStatus, opName:
+			want = false
+		}
+		if got := sheddable(o); got != want {
+			t.Errorf("sheddable(op %d) = %v, want %v", o, got, want)
+		}
+	}
+}

@@ -33,15 +33,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint64(1), uint64(2), uint8(2), "key", uint8(0), "", uint64(3), "value", 4, uint8(0), "", []byte{})
 	f.Add(uint8(6), uint64(9), uint64(8), uint8(2), "k", uint8(1), "hi", uint64(1<<40), "v", 0, uint8(2), "msg", []byte{0x01, 0x02})
 	f.Add(uint8(12), uint64(0), uint64(0), uint8(0), "", uint8(2), "z", uint64(0), "", -1, uint8(9), "boom", []byte{0xff, 0xff, 0xff})
+	f.Add(uint8(12), uint64(5), uint64(6), uint8(2), "once", uint8(0), "", uint64(2), "v", 0, uint8(0), "", []byte{0x0d, 0x01, 0x02, 0x00, 0x00, 0x02, 0x01, 'k'})
 
 	f.Fuzz(func(t *testing.T, tag uint8, id, txn uint64, keyKind uint8, keyS string,
 		hiKind uint8, hiS string, ver uint64, value string, count int, codeByte uint8, msg string, raw []byte) {
 
 		// Structured round trip: a valid request of every op.
-		reqOp := op(tag%12) + 1
+		reqOp := op(tag%13) + 1
 		req := request{ID: id, Op: reqOp, Txn: txn, Epoch: id ^ txn, Deadline: ver ^ id}
 		switch reqOp {
-		case opLookup, opPredecessor, opSuccessor:
+		case opLookup, opLookupOnce, opPredecessor, opSuccessor:
 			req.Key = fuzzKey(keyKind, keyS)
 		case opPredecessorBatch, opSuccessorBatch:
 			req.Key = fuzzKey(keyKind, keyS)
@@ -77,7 +78,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			resp.Msg = msg
 		} else {
 			switch reqOp {
-			case opLookup:
+			case opLookup, opLookupOnce:
 				resp.Found = ver%2 == 0
 				resp.Version = version.V(ver)
 				resp.Value = value

@@ -268,6 +268,92 @@ func TestTCPPerConnConcurrencyLimit(t *testing.T) {
 	c.Abort(ctx, 2)
 }
 
+// TestCallOutcomeAfterContextEnds pins the result-selection step that
+// made TestTCPAbandonedCallResponseDiscarded flaky: when the server's
+// copy of a call's deadline expires, its "context deadline exceeded"
+// reply can be read after the caller's own context has fired. The
+// caller must then see its context's error, whichever of the two select
+// picked.
+func TestCallOutcomeAfterContextEnds(t *testing.T) {
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Millisecond))
+	defer cancel()
+	serverExpired := response{ID: 1, Op: opLookup}
+	serverExpired.Code, serverExpired.Msg = encodeError(context.DeadlineExceeded)
+	if _, err := callOutcome(expired, callResult{resp: serverExpired}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("server deadline error after the caller's deadline = %v, want DeadlineExceeded", err)
+	}
+	// The caller's deadline has passed but its timer has not run yet,
+	// so ctx.Err is still nil: the reply is still the same event.
+	late := lateCtx{Context: ctx, deadline: time.Now().Add(-time.Millisecond)}
+	if _, err := callOutcome(late, callResult{resp: serverExpired}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("server deadline error before the caller's timer ran = %v, want DeadlineExceeded", err)
+	}
+	// A live caller still sees the server's error as sent.
+	died := response{ID: 2, Op: opLookup}
+	died.Code, died.Msg = encodeError(lock.ErrDie)
+	if _, err := callOutcome(ctx, callResult{resp: died}); !errors.Is(err, lock.ErrDie) {
+		t.Fatalf("die reply to a live caller = %v, want ErrDie", err)
+	}
+	// A successful reply is kept even when it is read late.
+	ok := response{ID: 3, Op: opLookup, Found: true, Value: "v"}
+	if got, err := callOutcome(expired, callResult{resp: ok}); err != nil || got.Value != "v" {
+		t.Fatalf("late success = %+v, %v; want the reply", got, err)
+	}
+	// A broken connection reports itself, not the context.
+	if _, err := callOutcome(expired, callResult{err: ErrUnavailable}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("connection failure = %v, want ErrUnavailable", err)
+	}
+}
+
+// lateCtx is a context whose deadline has passed while its timer has
+// not yet cancelled it.
+type lateCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestTCPOneShotLookup: a Lookup whose context carries
+// rep.WithOneShotRead travels as opLookupOnce, and the remote
+// representative releases its read lock before replying; a plain Lookup
+// keeps its lock until the abort.
+func TestTCPOneShotLookup(t *testing.T) {
+	r := rep.New("once")
+	srv, err := Serve(r, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Insert(ctx, 1, keyspace.New("k"), 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Lookup(rep.WithOneShotRead(ctx), 2, keyspace.New("k"))
+	if err != nil || !res.Found || res.Value != "v" {
+		t.Fatalf("one-shot lookup = %+v, %v", res, err)
+	}
+	if n := r.Locks().ActiveTransactions(); n != 0 || len(r.Strays()) != 0 {
+		t.Fatalf("after a one-shot lookup: %d lock holders, strays %v; want none", n, r.Strays())
+	}
+	if _, err := c.Lookup(ctx, 3, keyspace.New("k")); err != nil {
+		t.Fatal(err)
+	}
+	if held := r.Locks().HeldBy(3); held != 1 {
+		t.Fatalf("plain lookup holds %d locks, want 1 until its abort", held)
+	}
+	if err := c.Abort(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTCPAbandonedCallResponseDiscarded cancels a call mid-flight and
 // then keeps using the client: the late response for the abandoned ID
 // must be discarded, not delivered to a later call.

@@ -36,6 +36,9 @@ const (
 	opAbort
 	opStatus
 	opName
+	// opLookupOnce is opLookup under rep.WithOneShotRead: the same
+	// fields, and the member releases its read lock before replying.
+	opLookupOnce
 )
 
 // request is the single wire request shape. ID matches the request to
@@ -472,7 +475,10 @@ func (s *Server) handle(req *request) response {
 	var resp response
 	var err error
 	switch req.Op {
-	case opLookup:
+	case opLookup, opLookupOnce:
+		if req.Op == opLookupOnce {
+			ctx = rep.WithOneShotRead(ctx)
+		}
 		var r rep.LookupResult
 		r, err = s.dir.Lookup(ctx, txn, req.Key)
 		resp.Found, resp.Version, resp.Value = r.Found, r.Version, r.Value
@@ -904,15 +910,35 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 		select {
 		case r := <-ch:
 			resultChanPool.Put(ch)
-			if r.err != nil {
-				return response{}, r.err
-			}
-			return r.resp, decodeError(r.resp.Code, r.resp.Msg)
+			return callOutcome(ctx, r)
 		case <-ctx.Done():
 			cc.unregister(req.ID)
 			return response{}, ctx.Err()
 		}
 	}
+}
+
+// callOutcome turns a delivered result into the call's return values.
+// An error response that is read once the caller's deadline has passed
+// reports the caller's context error: the server's copy of the same
+// deadline expiring is the same event. The deadline is compared with
+// the clock as well as through ctx.Err, because the context's own timer
+// may not have run yet when the server's reply is read.
+func callOutcome(ctx context.Context, r callResult) (response, error) {
+	if r.err != nil {
+		return response{}, r.err
+	}
+	err := decodeError(r.resp.Code, r.resp.Msg)
+	if err == nil {
+		return r.resp, nil
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return response{}, cerr
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return response{}, context.DeadlineExceeded
+	}
+	return response{}, err
 }
 
 // Name implements rep.Directory.
@@ -927,7 +953,11 @@ func (c *Client) Name() string {
 
 // Lookup implements rep.Directory.
 func (c *Client) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
-	resp, err := c.call(ctx, request{Op: opLookup, Txn: uint64(txn), Key: key})
+	o := opLookup
+	if rep.OneShotReadFromContext(ctx) {
+		o = opLookupOnce
+	}
+	resp, err := c.call(ctx, request{Op: o, Txn: uint64(txn), Key: key})
 	if err != nil {
 		return rep.LookupResult{}, err
 	}

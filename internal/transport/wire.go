@@ -9,7 +9,7 @@ import (
 	"repdir/internal/version"
 )
 
-// Binary wire codec, protocol version 3. Messages are built from the
+// Binary wire codec, protocol version 4. Messages are built from the
 // shared internal/codec primitives: fixed one-byte op tags, varint
 // integer fields, and length-prefixed byte strings, so a request
 // encodes with a handful of appends into a pooled buffer and decodes
@@ -60,8 +60,9 @@ const (
 	// preambleByte opens every stream.
 	preambleByte = 0x00
 	// wireVersion is the only codec version spoken, sent and required
-	// in both preambles.
-	wireVersion = 3
+	// in both preambles. Version 4 added opLookupOnce; every tag of
+	// version 3 encodes as before.
+	wireVersion = 4
 
 	// maxFrameLen bounds a received frame before its buffer is
 	// allocated, so a corrupt or hostile length prefix cannot balloon
@@ -78,7 +79,7 @@ func appendRequest(b []byte, req *request) []byte {
 	b = codec.AppendUvarint(b, req.Epoch)
 	b = codec.AppendUvarint(b, req.Deadline)
 	switch req.Op {
-	case opLookup, opPredecessor, opSuccessor:
+	case opLookup, opLookupOnce, opPredecessor, opSuccessor:
 		b = codec.AppendKey(b, req.Key)
 	case opPredecessorBatch, opSuccessorBatch:
 		b = codec.AppendKey(b, req.Key)
@@ -106,7 +107,7 @@ func appendResponse(b []byte, resp *response) []byte {
 		return codec.AppendBytes(b, resp.Msg)
 	}
 	switch resp.Op {
-	case opLookup:
+	case opLookup, opLookupOnce:
 		b = codec.AppendBool(b, resp.Found)
 		b = codec.AppendUvarint(b, uint64(resp.Version))
 		b = codec.AppendBytes(b, resp.Value)
@@ -160,7 +161,7 @@ func readRequest(r *codec.Reader, req *request) error {
 		return err
 	}
 	switch req.Op {
-	case opLookup, opPredecessor, opSuccessor:
+	case opLookup, opLookupOnce, opPredecessor, opSuccessor:
 		req.Key, err = r.ReadKey()
 	case opPredecessorBatch, opSuccessorBatch:
 		if req.Key, err = r.ReadKey(); err != nil {
@@ -225,7 +226,7 @@ func readResponse(r *codec.Reader, resp *response) error {
 		return err
 	}
 	switch resp.Op {
-	case opLookup:
+	case opLookup, opLookupOnce:
 		if resp.Found, err = r.ReadBool(); err != nil {
 			return err
 		}

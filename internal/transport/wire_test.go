@@ -29,27 +29,37 @@ func TestWireGoldenVectors(t *testing.T) {
 	// (microseconds, 0 = none); op fields follow.
 	reqVectors := []struct {
 		name string
+		ver  int // the wire version that introduced the vector's tag
 		req  request
 		want []byte
 	}{
 		{
 			name: "lookup_deadline",
+			ver:  3,
 			req:  request{ID: 7, Op: opLookup, Txn: 9, Epoch: 5, Deadline: 300, Key: keyspace.New("k")},
 			want: []byte{0x01, 0x07, 0x09, 0x05, 0xac, 0x02, 0x02, 0x01, 'k'},
 		},
 		{
 			name: "lookup_no_deadline",
+			ver:  3,
 			req:  request{ID: 7, Op: opLookup, Txn: 9, Key: keyspace.New("k")},
 			want: []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x02, 0x01, 'k'},
 		},
 		{
+			name: "lookup_once",
+			ver:  4,
+			req:  request{ID: 7, Op: opLookupOnce, Txn: 9, Epoch: 5, Deadline: 300, Key: keyspace.New("k")},
+			want: []byte{0x0d, 0x07, 0x09, 0x05, 0xac, 0x02, 0x02, 0x01, 'k'},
+		},
+		{
 			name: "prepare_deadline",
+			ver:  3,
 			req:  request{ID: 200, Op: opPrepare, Txn: 300, Deadline: 1},
 			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02, 0x00, 0x01},
 		},
 	}
 	for _, v := range reqVectors {
-		t.Run("request_v3_"+v.name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("request_v%d_%s", v.ver, v.name), func(t *testing.T) {
 			got := appendRequest(nil, &v.req)
 			if !bytes.Equal(got, v.want) {
 				t.Fatalf("encoding drifted:\n got  %#v\n want %#v", got, v.want)
@@ -66,6 +76,11 @@ func TestWireGoldenVectors(t *testing.T) {
 			name: "lookup_found",
 			resp: response{ID: 7, Op: opLookup, Code: codeOK, Found: true, Version: 4, Value: "v"},
 			want: []byte{0x01, 0x07, 0x00, 0x01, 0x04, 0x01, 'v'},
+		},
+		{
+			name: "lookup_once_gap",
+			resp: response{ID: 7, Op: opLookupOnce, Code: codeOK, Found: false, Version: 4},
+			want: []byte{0x0d, 0x07, 0x00, 0x00, 0x04, 0x00},
 		},
 		{
 			name: "predecessor",
@@ -109,6 +124,7 @@ func wireRequestVariants() []request {
 		{ID: 19, Op: opAbort, Txn: 20},
 		{ID: 21, Op: opStatus, Txn: 22},
 		{ID: 23, Op: opName},
+		{ID: 25, Op: opLookupOnce, Txn: 26, Key: keyspace.New("once")},
 	}
 }
 
@@ -133,6 +149,8 @@ func wireResponseVariants() []response {
 		{ID: 14, Op: opName, Name: "rep-a"},
 		{ID: 15, Op: opInsert, Code: codeSentinel, Msg: "cannot overwrite sentinel"},
 		{ID: 16, Op: opLookup, Code: codeUnavailable, Msg: "down"},
+		{ID: 17, Op: opLookupOnce, Found: true, Version: 3, Value: "once"},
+		{ID: 18, Op: opLookupOnce, Code: codeDie, Msg: "die"},
 	}
 }
 
@@ -243,12 +261,35 @@ func TestProtocolNegotiation(t *testing.T) {
 			t.Fatalf("connection recorded no wire traffic: %+v", sent)
 		}
 	})
+	t.Run("v3_client", func(t *testing.T) {
+		// A version-3 build offers [0x00, 3]; the server must close the
+		// connection without echoing, so that build fails at dial instead
+		// of meeting tag 13 mid-stream.
+		srv, err := Serve(rep.New("nego"), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte{preambleByte, 3}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var b [2]byte
+		if n, err := io.ReadFull(conn, b[:]); err == nil || n != 0 {
+			t.Fatalf("server answered a version-3 preamble with %d bytes %v (err %v), want a close", n, b[:n], err)
+		}
+	})
 	for _, tc := range []struct {
 		name  string
 		reply []byte // nil: close without answering
 	}{
 		{"new_client_legacy_server", nil},
-		{"wrong_version", []byte{preambleByte, wireVersion - 1}},
+		{"wrong_version", []byte{preambleByte, 3}},
 		{"wrong_preamble_byte", []byte{0x01, wireVersion}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
